@@ -15,6 +15,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/prof"
 	"hydranet/internal/sweep"
 	"hydranet/internal/testbed"
@@ -38,14 +39,17 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the table")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (each threshold is an independent run)")
 	workers := flag.Int("workers", 1, "worker threads inside each simulation (domain-partitioned parallel run)")
-	pcapPrefix := flag.String("pcap", "", "capture each run to PREFIX-t<threshold>.pcap")
-	flightPrefix := flag.String("flight", "", "flight-record each run; dump PREFIX-t<threshold>.{pcap,json} when the failover probe fires")
-	spansPrefix := flag.String("spans", "", "write each run's ft-TCP span timeline to PREFIX-t<threshold>.json")
-	seriesPrefix := flag.String("series", "", "export each run's time series (with health verdicts) to PREFIX-t<threshold>.jsonl")
-	sampleEvery := flag.Duration("sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
-	profPrefix := flag.String("prof", "", "write each run's hydraprof profile to PREFIX-t<threshold>.prof.json; render with hydrascope profile")
+	// The artifact flags name prefixes; each threshold's run writes its own
+	// files (see perThreshold).
+	var prefix hydranet.Instruments
+	flag.StringVar(&prefix.Pcap, "pcap", "", "capture each run to PREFIX-t<threshold>.pcap")
+	flag.StringVar(&prefix.Flight, "flight", "", "flight-record each run; dump PREFIX-t<threshold>.{pcap,json} when the failover probe fires")
+	flag.StringVar(&prefix.Spans, "spans", "", "write each run's ft-TCP span timeline to PREFIX-t<threshold>.json")
+	flag.StringVar(&prefix.Series, "series", "", "export each run's time series (with health verdicts) to PREFIX-t<threshold>.jsonl")
+	flag.DurationVar(&prefix.SampleEvery, "sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
+	flag.StringVar(&prefix.Profile, "prof", "", "write each run's hydraprof profile to PREFIX-t<threshold>.prof.json; render with hydrascope profile")
 	invariants := flag.Bool("invariants", false, "run the online protocol-invariant monitor in every run; exit 1 on any violation")
-	auditPrefix := flag.String("audit", "", "write each run's invariant audit report to PREFIX-t<threshold>.audit.json (implies -invariants)")
+	flag.StringVar(&prefix.Audit, "audit", "", "write each run's invariant audit report to PREFIX-t<threshold>.audit.json (implies -invariants)")
 	cpuProfile := flag.String("cpuprofile", "", "write a Go runtime CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a Go runtime heap profile to this file at exit")
 	flag.Parse()
@@ -62,36 +66,15 @@ func main() {
 
 	thresholds := []int{1, 2, 3, 4, 6, 8}
 	rows := sweep.Map(*parallel, len(thresholds), func(i int) row {
-		cfg := testbed.FailoverConfig{
-			Threshold: thresholds[i],
-			Backups:   *backups,
-			Seed:      *seed,
-			Loss:      *loss,
-			Workers:   *workers,
-		}
-		// One capture file set per threshold: the sweep runs each threshold
-		// as an independent simulation, possibly in parallel.
-		if *pcapPrefix != "" {
-			cfg.PcapPath = fmt.Sprintf("%s-t%d.pcap", *pcapPrefix, thresholds[i])
-		}
-		if *flightPrefix != "" {
-			cfg.FlightPrefix = fmt.Sprintf("%s-t%d", *flightPrefix, thresholds[i])
-		}
-		if *spansPrefix != "" {
-			cfg.SpansPath = fmt.Sprintf("%s-t%d.json", *spansPrefix, thresholds[i])
-		}
-		if *seriesPrefix != "" {
-			cfg.SeriesPath = fmt.Sprintf("%s-t%d.jsonl", *seriesPrefix, thresholds[i])
-			cfg.SampleEvery = *sampleEvery
-		}
-		if *profPrefix != "" {
-			cfg.ProfilePath = fmt.Sprintf("%s-t%d.prof.json", *profPrefix, thresholds[i])
-		}
-		cfg.Invariants = *invariants
-		if *auditPrefix != "" {
-			cfg.AuditPath = fmt.Sprintf("%s-t%d.audit.json", *auditPrefix, thresholds[i])
-		}
-		res := testbed.MeasureFailover(cfg)
+		res := testbed.MeasureFailover(testbed.FailoverConfig{
+			Threshold:   thresholds[i],
+			Backups:     *backups,
+			Seed:        *seed,
+			Loss:        *loss,
+			Workers:     *workers,
+			Invariants:  *invariants,
+			Instruments: perThreshold(prefix, thresholds[i]),
+		})
 		r := row{
 			Threshold:      thresholds[i],
 			DetectMS:       res.Detected.Seconds() * 1000,
@@ -149,7 +132,7 @@ func main() {
 	}
 	w.Flush()
 	fmt.Println("\ndetect: crash → redirector reconfiguration; resume: crash → first new byte at the client")
-	if *invariants || *auditPrefix != "" {
+	if *invariants || prefix.Audit != "" {
 		if totalViolations > 0 {
 			fmt.Printf("invariants: %d VIOLATIONS across the sweep\n", totalViolations)
 		} else {
@@ -159,6 +142,27 @@ func main() {
 	finishPprof()
 	if totalViolations > 0 {
 		os.Exit(1)
+	}
+}
+
+// perThreshold names one threshold's artifacts after the flag prefixes: the
+// sweep runs each threshold as an independent simulation, possibly in
+// parallel, so every run needs its own files.
+func perThreshold(prefix hydranet.Instruments, threshold int) hydranet.Instruments {
+	name := func(p, ext string) string {
+		if p == "" {
+			return ""
+		}
+		return fmt.Sprintf("%s-t%d%s", p, threshold, ext)
+	}
+	return hydranet.Instruments{
+		Pcap:        name(prefix.Pcap, ".pcap"),
+		Flight:      name(prefix.Flight, ""),
+		Spans:       name(prefix.Spans, ".json"),
+		Series:      name(prefix.Series, ".jsonl"),
+		SampleEvery: prefix.SampleEvery,
+		Profile:     name(prefix.Profile, ".prof.json"),
+		Audit:       name(prefix.Audit, ".audit.json"),
 	}
 }
 

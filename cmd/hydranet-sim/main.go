@@ -74,15 +74,16 @@ func main() {
 	perf := flag.Bool("perf", false, "report simulator performance (events/sec, frames/sec, wall time)")
 	statsJSON := flag.String("stats-json", "", "write the final snapshot as JSON to this file (\"-\" = stdout)")
 	traceSegs := flag.Int("trace", 0, "emit up to N tcpdump-style segment trace lines")
-	pcapPath := flag.String("pcap", "", "capture every frame (plus pre-encap tunnel copies) to this pcap file")
-	flightPrefix := flag.String("flight", "", "run a flight recorder; dump PREFIX.pcap/PREFIX.json on failover (or at the end)")
-	spansPath := flag.String("spans", "", "write the per-connection ft-TCP span timeline as JSON to this file (\"-\" = stdout)")
-	seriesPath := flag.String("series", "", "export sampled time series (with replica health verdicts) to this file (JSONL, or CSV with a .csv extension)")
-	sampleEvery := flag.Duration("sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
+	var in hydranet.Instruments
+	flag.StringVar(&in.Pcap, "pcap", "", "capture every frame (plus pre-encap tunnel copies) to this pcap file")
+	flag.StringVar(&in.Flight, "flight", "", "run a flight recorder; dump PREFIX.pcap/PREFIX.json on failover (or at the end)")
+	flag.StringVar(&in.Spans, "spans", "", "write the per-connection ft-TCP span timeline as JSON to this file (\"-\" = stdout)")
+	flag.StringVar(&in.Series, "series", "", "export sampled time series (with replica health verdicts) to this file (JSONL, or CSV with a .csv extension)")
+	flag.DurationVar(&in.SampleEvery, "sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
 	workers := flag.Int("workers", 1, "worker threads (domain-partitioned parallel run; every output is identical for every count)")
-	profPath := flag.String("prof", "", "write a hydraprof profile (per-domain utilization, causal critical path) to this file; render with hydrascope profile")
+	flag.StringVar(&in.Profile, "prof", "", "write a hydraprof profile (per-domain utilization, causal critical path) to this file; render with hydrascope profile")
 	invariants := flag.Bool("invariants", false, "run the online protocol-invariant monitor; exit 1 on any violation")
-	auditPath := flag.String("audit", "", "write the invariant audit report as JSON to this file (implies -invariants); inspect with hydrascope audit")
+	flag.StringVar(&in.Audit, "audit", "", "write the invariant audit report as JSON to this file (implies -invariants); inspect with hydrascope audit")
 	cpuProfile := flag.String("cpuprofile", "", "write a Go runtime CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a Go runtime heap profile to this file at exit")
 	flag.Parse()
@@ -118,40 +119,25 @@ func main() {
 	}
 	net.AutoRoute()
 
-	if *workers > 1 {
-		if *traceSegs > 0 {
-			// The segment tracer prints inline from TCP emit sites, which run
-			// in worker context on their domain's clock — serial only.
-			fmt.Fprintln(os.Stderr, "hydranet-sim: -trace requires -workers 1")
-			os.Exit(1)
-		}
-		if err := net.SetWorkers(*workers); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -workers: %v\n", err)
-			os.Exit(1)
-		}
+	if *workers > 1 && *traceSegs > 0 {
+		// The segment tracer prints inline from TCP emit sites, which run
+		// in worker context on their domain's clock — serial only.
+		fmt.Fprintln(os.Stderr, "hydranet-sim: -trace requires -workers 1")
+		os.Exit(1)
 	}
-
-	// Attach after the partition (profiling wraps the per-domain schedulers)
-	// and before any traffic, so the profile covers the whole scripted run.
-	var profiler *hydranet.Profiler
-	if *profPath != "" {
-		profiler = net.StartProfile(hydranet.ProfileConfig{
-			Scenario: fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s workers=%d",
-				*replicas, *bytes, *crashWho, *workers),
-		})
+	// Spans go to stdout in the narration below, not through the
+	// instruments' file writer.
+	spansToStdout := in.Spans == "-"
+	if spansToStdout {
+		in.Spans = ""
 	}
-
-	// The monitor attaches after the partition (it consumes the
-	// barrier-ordered replayed stream) and before DeployFT (it
-	// reconstructs replica-set membership from registration events). The
-	// scenario label deliberately omits the worker count: audit reports
-	// from the same seed diff byte-identical across -workers.
-	var mon *hydranet.Monitor
-	if *invariants || *auditPath != "" {
-		mon = net.StartMonitor(hydranet.MonitorConfig{
-			Scenario: fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s",
-				*replicas, *bytes, *crashWho),
-		})
+	// The scenario label omits the worker count: audit reports from the
+	// same seed diff byte-identical across -workers.
+	inst, err := in.Attach(net, fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s",
+		*replicas, *bytes, *crashWho), *workers, *invariants)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hydranet-sim: -workers: %v\n", err)
+		os.Exit(1)
 	}
 
 	if *traceSegs > 0 {
@@ -179,46 +165,14 @@ func main() {
 	}
 	probe := net.NewFailoverProbe()
 
-	// Capture subsystems attach after the topology is final (taps cover
-	// every link and redirector) and before any traffic, registration
-	// included, hits the wire.
-	var capt *hydranet.Capture
-	var pcapFile *os.File
-	if *pcapPath != "" {
-		f, err := os.Create(*pcapPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -pcap: %v\n", err)
-			os.Exit(1)
-		}
-		pcapFile = f
-		if capt, err = net.StartCapture(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -pcap: %v\n", err)
-			os.Exit(1)
-		}
+	// Everything records from t=0, registration included.
+	if err := inst.Record(probe, hosts...); err != nil {
+		fmt.Fprintf(os.Stderr, "hydranet-sim: -pcap: %v\n", err)
+		os.Exit(1)
 	}
-	var flight *hydranet.FlightRecorder
-	if *flightPrefix != "" {
-		flight = net.StartFlightRecorder(0, 0)
-		flight.DumpOnFailover(probe, *flightPrefix)
-		if mon != nil {
-			// A violation dumps the forensic bundle the instant it is
-			// recorded, while the offending frames are still in the rings.
-			flight.DumpOnViolation(mon, *flightPrefix+"-violation")
-		}
-	}
-	var spans *hydranet.SpanCollector
-	if *spansPath != "" || *stats || *seriesPath != "" {
+	spans := inst.Spans
+	if spans == nil && (spansToStdout || *stats) {
 		spans = net.NewSpanCollector()
-	}
-	var tel *hydranet.Telemetry
-	if *seriesPath != "" {
-		tel = net.StartSampler(hydranet.SamplerConfig{
-			Every:  *sampleEvery,
-			Spans:  spans,
-			Health: &hydranet.HealthConfig{},
-		})
-		tel.AttachFailover(probe)
-		tel.WatchReplicas(hosts...)
 	}
 	// kindCounts is a slice indexed by event kind, not a map: iterating it
 	// at print time is deterministic. The -stats emission below still sorts
@@ -335,58 +289,33 @@ func main() {
 
 	wall := time.Since(wallStart)
 
-	if capt != nil {
-		if err := capt.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -pcap: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pcapFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -pcap: %v\n", err)
-			os.Exit(1)
-		}
+	// The narration below reports each artifact only once it is written.
+	flightEndDump := inst.Flight != nil && inst.Flight.Dumps() == 0
+	audit, err := inst.Finish()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hydranet-sim: %v\n", err)
+		os.Exit(1)
+	}
+	if c := inst.Capture; c != nil {
 		logf("pcap: %d records (%d pre-encap inner copies) written to %s",
-			capt.Packets(), capt.InnerPackets(), *pcapPath)
+			c.Packets(), c.InnerPackets(), in.Pcap)
 	}
-	if flight != nil {
-		if flight.Dumps() == 0 {
-			if err := flight.Dump(*flightPrefix); err != nil {
-				fmt.Fprintf(os.Stderr, "hydranet-sim: -flight: %v\n", err)
-				os.Exit(1)
-			}
-			logf("flight recorder dumped at end of run to %s.pcap / %s.json", *flightPrefix, *flightPrefix)
-		} else {
-			logf("flight recorder dumped on failover to %s.pcap / %s.json", *flightPrefix, *flightPrefix)
-		}
+	if flightEndDump {
+		logf("flight recorder dumped at end of run to %s.pcap / %s.json", in.Flight, in.Flight)
+	} else if inst.Flight != nil {
+		logf("flight recorder dumped on failover to %s.pcap / %s.json", in.Flight, in.Flight)
 	}
-	if spans != nil && *spansPath != "" {
-		if *spansPath == "-" {
-			if err := spans.WriteJSON(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "hydranet-sim: -spans: %v\n", err)
-				os.Exit(1)
-			}
-		} else {
-			f, err := os.Create(*spansPath)
-			if err == nil {
-				err = spans.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hydranet-sim: -spans: %v\n", err)
-				os.Exit(1)
-			}
-			logf("span timeline written to %s", *spansPath)
-		}
-	}
-	if tel != nil {
-		tel.Stop()
-		if err := tel.WriteFile(*seriesPath); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -series: %v\n", err)
+	if spansToStdout {
+		if err := spans.WriteJSON(os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "hydranet-sim: -spans: %v\n", err)
 			os.Exit(1)
 		}
+	} else if in.Spans != "" {
+		logf("span timeline written to %s", in.Spans)
+	}
+	if tel := inst.Telemetry; tel != nil {
 		logf("time series (%d series, %d ticks) written to %s",
-			tel.Set().Len(), tel.Ticks(), *seriesPath)
+			tel.Set().Len(), tel.Ticks(), in.Series)
 	}
 
 	snap := net.Snapshot()
@@ -450,17 +379,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if profiler != nil {
-		if err := profiler.WriteFile(*profPath); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -prof: %v\n", err)
-			os.Exit(1)
-		}
-		logf("hydraprof profile written to %s (render with: hydrascope profile %s)", *profPath, *profPath)
+	if in.Profile != "" {
+		logf("hydraprof profile written to %s (render with: hydrascope profile %s)", in.Profile, in.Profile)
 	}
-	auditClean := true
-	if mon != nil {
-		audit := net.FinishAudit(mon)
-		auditClean = audit.Clean
+	if audit != nil {
 		if audit.Clean {
 			fmt.Printf("\ninvariants: clean (%d checks over %d events, %d frames)\n",
 				audit.Checks, audit.Events, audit.Frames)
@@ -471,12 +393,8 @@ func main() {
 				fmt.Printf("  %s\n", v)
 			}
 		}
-		if *auditPath != "" {
-			if err := audit.WriteJSON(*auditPath); err != nil {
-				fmt.Fprintf(os.Stderr, "hydranet-sim: -audit: %v\n", err)
-				os.Exit(1)
-			}
-			logf("audit report written to %s (render with: hydrascope audit %s)", *auditPath, *auditPath)
+		if in.Audit != "" {
+			logf("audit report written to %s (render with: hydrascope audit %s)", in.Audit, in.Audit)
 		}
 	}
 	if *verbose {
@@ -486,7 +404,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hydranet-sim: pprof: %v\n", err)
 		os.Exit(1)
 	}
-	if received < *bytes || !auditClean {
+	if received < *bytes || (audit != nil && !audit.Clean) {
 		os.Exit(1)
 	}
 }

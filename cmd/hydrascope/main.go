@@ -1,8 +1,8 @@
 // Command hydrascope analyzes exported HydraNet-FT telemetry: it renders a
 // failover timeline report from a series export, renders a hydraprof
-// parallel-core profile, and diffs two runs — series exports, ttcpbench
-// results or hydraprof profiles — within a tolerance, exiting non-zero on
-// regression so CI can gate on it.
+// parallel-core profile, validates pcap and trace-event files, and diffs
+// two runs — series exports, ttcpbench results or hydraprof profiles —
+// within a tolerance, exiting non-zero on regression so CI can gate on it.
 //
 // Usage:
 //
@@ -10,6 +10,7 @@
 //	hydrascope profile PROF [-trace OUT.json]
 //	hydrascope audit FILE [-fail-on-violation]
 //	hydrascope diff A B [-tol 0.02] [-stall-tol 0]
+//	hydrascope check FILE...
 //
 // report loads a -series export (JSONL or CSV, sniffed from content) and
 // prints the run summary: the Table-2 failover phase timeline with
@@ -39,6 +40,12 @@
 // wall-derived utilization/stall fractions at -stall-tol (0, the default,
 // skips them). Any difference beyond tolerance is a regression: exit 1.
 // Identical-seed runs diff clean and exit 0.
+//
+// check validates each FILE with the checker its content selects: a pcap
+// (from -pcap or a flight dump) is walked with the in-repo reader, a Chrome
+// trace-event JSON (from profile -trace) is checked for the structure
+// Perfetto needs. Each valid file prints a one-line summary; any invalid
+// file exits 1.
 package main
 
 import (
@@ -56,6 +63,7 @@ func usage() {
   hydrascope profile PROF [-trace OUT.json]    render a hydraprof profile
   hydrascope audit FILE [-fail-on-violation]   render an invariant audit report
   hydrascope diff A B [-tol 0.02] [-stall-tol 0]  diff two runs; exit 1 on regression
+  hydrascope check FILE...                     validate pcap / trace-event files; exit 1 on error
 `)
 	os.Exit(2)
 }
@@ -73,6 +81,8 @@ func main() {
 		audit(os.Args[2:])
 	case "diff":
 		diff(os.Args[2:])
+	case "check":
+		check(os.Args[2:])
 	default:
 		fmt.Fprintf(os.Stderr, "hydrascope: unknown subcommand %q\n", os.Args[1])
 		usage()

@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/metrics"
 	"hydranet/internal/prof"
 	"hydranet/internal/scope"
@@ -51,10 +52,11 @@ func main() {
 	scalePath := flag.String("scale", "", "run the pod-scaling workload at 1/2/4/8 in-simulation workers and write a BENCH_scale JSON record to this file")
 	scalePods := flag.Int("scale-pods", 8, "pods in the -scale workload (one synchronization domain each)")
 	jsonPath := flag.String("json", "", "write machine-readable results to this file")
-	pcapPath := flag.String("pcap", "", "additionally capture one primary-and-backup run (1024-byte writes) to this pcap file")
-	seriesPath := flag.String("series", "", "additionally export time series of one primary-and-backup run (1024-byte writes) to this file (JSONL, or CSV with a .csv extension)")
-	sampleEvery := flag.Duration("sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
-	profPath := flag.String("prof", "", "write hydraprof profiles: with -scale, PREFIX-w<N>.prof.json per worker count; otherwise profile one dedicated primary-and-backup run (1024-byte writes) to this file")
+	var in hydranet.Instruments
+	flag.StringVar(&in.Pcap, "pcap", "", "additionally capture one primary-and-backup run (1024-byte writes) to this pcap file")
+	flag.StringVar(&in.Series, "series", "", "additionally export time series of one primary-and-backup run (1024-byte writes) to this file (JSONL, or CSV with a .csv extension)")
+	flag.DurationVar(&in.SampleEvery, "sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
+	flag.StringVar(&in.Profile, "prof", "", "write hydraprof profiles: with -scale, PREFIX-w<N>.prof.json per worker count; otherwise profile one dedicated primary-and-backup run (1024-byte writes) to this file")
 	invariants := flag.Bool("invariants", false, "run the online protocol-invariant monitor in every measurement run; exit 1 on any violation")
 	cpuProfile := flag.String("cpuprofile", "", "write a Go runtime CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a Go runtime heap profile to this file at exit")
@@ -73,7 +75,7 @@ func main() {
 	}
 
 	if *scalePath != "" {
-		runScaleBench(*scalePath, *scalePods, *total, *seed, *profPath, *invariants)
+		runScaleBench(*scalePath, *scalePods, *total, *seed, in.Profile, *invariants)
 		finishPprof()
 		return
 	}
@@ -187,51 +189,32 @@ func main() {
 		fmt.Println("invariants: clean across the sweep")
 	}
 
-	if *pcapPath != "" {
-		// One extra, dedicated capture run: capturing inside the sweep
-		// would cost every measurement point pcap I/O and produce a file
-		// per job. The full-FT 1024-byte configuration is the most
-		// interesting one on the wire (tunnel copies plus the ack chain).
+	// Each artifact gets one extra, dedicated run of the full-FT 1024-byte
+	// configuration, the most interesting one on the wire (tunnel copies
+	// plus the ack chain): recording inside the sweep would charge every
+	// measurement point the recorders' cost and write a file per job.
+	dedicated := func(what string, workers int, artifacts hydranet.Instruments) {
 		res := testbed.Run(testbed.Config{
 			Case: testbed.CasePrimaryBackup, BufLen: 1024, TotalBytes: *total,
-			Seed: *seed, Backups: *backups, PcapPath: *pcapPath,
+			Seed: *seed, Backups: *backups, Workers: workers, Instruments: artifacts,
 		})
 		if res.Err != nil {
-			fmt.Fprintln(os.Stderr, "ttcpbench: capture run:", res.Err)
+			fmt.Fprintf(os.Stderr, "ttcpbench: %s run: %v\n", what, res.Err)
 			os.Exit(1)
 		}
-		fmt.Printf("captured primary-and-backup run (1024-byte writes) to %s\n", *pcapPath)
 	}
-
-	if *seriesPath != "" {
-		// Same dedicated-run pattern as -pcap: sampling inside the sweep
-		// would add telemetry cost to every measurement point.
-		res := testbed.Run(testbed.Config{
-			Case: testbed.CasePrimaryBackup, BufLen: 1024, TotalBytes: *total,
-			Seed: *seed, Backups: *backups,
-			SeriesPath: *seriesPath, SampleEvery: *sampleEvery,
-		})
-		if res.Err != nil {
-			fmt.Fprintln(os.Stderr, "ttcpbench: series run:", res.Err)
-			os.Exit(1)
-		}
-		fmt.Printf("exported primary-and-backup series (1024-byte writes) to %s\n", *seriesPath)
+	if in.Pcap != "" {
+		dedicated("capture", 1, hydranet.Instruments{Pcap: in.Pcap})
+		fmt.Printf("captured primary-and-backup run (1024-byte writes) to %s\n", in.Pcap)
 	}
-
-	if *profPath != "" {
-		// Same dedicated-run pattern again: profiling inside the sweep would
-		// attach collectors to every measurement point.
-		res := testbed.Run(testbed.Config{
-			Case: testbed.CasePrimaryBackup, BufLen: 1024, TotalBytes: *total,
-			Seed: *seed, Backups: *backups,
-			Workers: *workers, ProfilePath: *profPath,
-		})
-		if res.Err != nil {
-			fmt.Fprintln(os.Stderr, "ttcpbench: profile run:", res.Err)
-			os.Exit(1)
-		}
+	if in.Series != "" {
+		dedicated("series", 1, hydranet.Instruments{Series: in.Series, SampleEvery: in.SampleEvery})
+		fmt.Printf("exported primary-and-backup series (1024-byte writes) to %s\n", in.Series)
+	}
+	if in.Profile != "" {
+		dedicated("profile", *workers, hydranet.Instruments{Profile: in.Profile})
 		fmt.Printf("profiled primary-and-backup run (1024-byte writes) to %s (render with: hydrascope profile %s)\n",
-			*profPath, *profPath)
+			in.Profile, in.Profile)
 	}
 
 	if *jsonPath != "" {
@@ -284,7 +267,7 @@ func runScaleBench(path string, pods, total int, seed int64, profPrefix string, 
 			Invariants: invariants,
 		}
 		if profPrefix != "" {
-			cfg.ProfilePath = fmt.Sprintf("%s-w%d.prof.json", profPrefix, w)
+			cfg.Instruments.Profile = fmt.Sprintf("%s-w%d.prof.json", profPrefix, w)
 		}
 		r := testbed.RunScale(cfg)
 		totalViolations += r.Violations
@@ -325,8 +308,8 @@ func runScaleBench(path string, pods, total int, seed int64, profPrefix string, 
 			e.FramesPerSec = float64(r.Frames) / s
 		}
 		entries = append(entries, e)
-		if cfg.ProfilePath != "" {
-			fmt.Printf("profiled workers=%d to %s\n", w, cfg.ProfilePath)
+		if cfg.Instruments.Profile != "" {
+			fmt.Printf("profiled workers=%d to %s\n", w, cfg.Instruments.Profile)
 		}
 	}
 	wall := time.Since(start)

@@ -23,7 +23,7 @@ import (
 //
 // Timestamps are microseconds (the trace-event unit) measured from the
 // profiler's wall epoch. Load the output at https://ui.perfetto.dev or
-// chrome://tracing; cmd/profcheck validates the structure in CI.
+// chrome://tracing; `hydrascope check` validates the structure in CI.
 
 // traceEvent is one Chrome trace-event object.
 type traceEvent struct {

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"hydranet"
@@ -31,25 +30,6 @@ type FailoverConfig struct {
 	// NoCrash keeps every host alive: the run measures detector false
 	// positives (suspicions and wrongful reconfigurations) only.
 	NoCrash bool
-	// PcapPath, if set, captures every frame of the run (including the
-	// redirector's pre-encap tunnel copies) to this pcap file.
-	PcapPath string
-	// FlightPrefix, if set, runs a flight recorder dumped to
-	// FlightPrefix.pcap/.json when the failover probe fires (or at the end
-	// of the run if it never does).
-	FlightPrefix string
-	// SpansPath, if set, writes the per-connection span timeline JSON here.
-	SpansPath string
-	// SeriesPath, if set, exports sampled time series for the run (JSONL,
-	// or CSV if the path ends in .csv), including per-replica health
-	// verdicts from the gray-failure scorer and the failover phase report.
-	SeriesPath string
-	// SampleEvery is the telemetry sampling cadence (default 100 ms of
-	// virtual time). Used only with SeriesPath.
-	SampleEvery time.Duration
-	// ProfilePath, if set, writes a hydraprof profile of the run (detection
-	// and recovery included; see hydranet.StartProfile) to this file.
-	ProfilePath string
 	// Workers partitions the network into synchronization domains across
 	// this many worker threads (see hydranet.SetWorkers). 0 or 1 keeps the
 	// serial scheduler. With Loss > 0 the loss pattern is drawn from
@@ -60,9 +40,9 @@ type FailoverConfig struct {
 	// Invariants attaches the online protocol-invariant monitor; violation
 	// counts land in FailoverResult.Violations.
 	Invariants bool
-	// AuditPath, if set, writes the monitor's audit report as JSON here
-	// (implies Invariants).
-	AuditPath string
+	// Instruments names the run's artifacts, which record from t=0:
+	// registration, the stream, the crash, detection and recovery.
+	Instruments hydranet.Instruments
 }
 
 // FailoverResult reports what happened.
@@ -83,7 +63,7 @@ type FailoverResult struct {
 	// transparency.
 	ClientError error
 	// Violations counts protocol-invariant violations (0 unless
-	// FailoverConfig.Invariants or AuditPath enabled the monitor).
+	// FailoverConfig.Invariants or Instruments.Audit enabled the monitor).
 	Violations int
 }
 
@@ -118,61 +98,14 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 		}
 	}
 	net.AutoRoute()
-	if cfg.Workers > 1 {
-		if err := net.SetWorkers(cfg.Workers); err != nil {
-			panic(fmt.Sprintf("testbed: failover partition: %v", err))
-		}
+	inst, err := cfg.Instruments.Attach(net,
+		fmt.Sprintf("failover threshold=%d backups=%d loss=%g", cfg.Threshold, cfg.Backups, cfg.Loss),
+		cfg.Workers, cfg.Invariants)
+	if err != nil {
+		panic(fmt.Sprintf("testbed: failover partition: %v", err))
 	}
-
-	// The monitor attaches after the partition (it consumes the
-	// barrier-ordered replayed stream) and before DeployFT (it
-	// reconstructs membership from registration events). The label omits
-	// the worker count so audits diff byte-identical across Workers.
-	var mon *hydranet.Monitor
-	if cfg.Invariants || cfg.AuditPath != "" {
-		mon = net.StartMonitor(hydranet.MonitorConfig{
-			Scenario: fmt.Sprintf("failover threshold=%d backups=%d loss=%g", cfg.Threshold, cfg.Backups, cfg.Loss),
-		})
-	}
-
-	// Capture subsystems attach after the topology is final, before any
-	// traffic (registration included) hits the wire.
-	var pcapFile *os.File
-	if cfg.PcapPath != "" {
-		f, err := os.Create(cfg.PcapPath)
-		if err != nil {
-			panic(err)
-		}
-		pcapFile = f
-		if _, err := net.StartCapture(f); err != nil {
-			panic(err)
-		}
-	}
-	var flight *hydranet.FlightRecorder
-	var probe *hydranet.FailoverProbe
-	if cfg.FlightPrefix != "" || cfg.SeriesPath != "" {
-		probe = net.NewFailoverProbe()
-	}
-	if cfg.FlightPrefix != "" {
-		flight = net.StartFlightRecorder(0, 0)
-		flight.DumpOnFailover(probe, cfg.FlightPrefix)
-		if mon != nil {
-			flight.DumpOnViolation(mon, cfg.FlightPrefix+"-violation")
-		}
-	}
-	var spans *hydranet.SpanCollector
-	if cfg.SpansPath != "" || cfg.SeriesPath != "" {
-		spans = net.NewSpanCollector()
-	}
-	var tel *hydranet.Telemetry
-	if cfg.SeriesPath != "" {
-		tel = net.StartSampler(hydranet.SamplerConfig{
-			Every:  cfg.SampleEvery,
-			Spans:  spans,
-			Health: &hydranet.HealthConfig{},
-		})
-		tel.AttachFailover(probe)
-		tel.WatchReplicas(replicas...)
+	if err := inst.Record(nil, replicas...); err != nil {
+		panic(err)
 	}
 
 	svc := hydranet.ServiceID{Addr: ServiceAddr, Port: ServicePort}
@@ -182,15 +115,6 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 		panic(err)
 	}
 	net.Settle()
-
-	// Attach after registration settles, so the profile covers the stream,
-	// the crash, detection and recovery — the phases the report attributes.
-	var profiler *hydranet.Profiler
-	if cfg.ProfilePath != "" {
-		profiler = net.StartProfile(hydranet.ProfileConfig{
-			Scenario: fmt.Sprintf("failover threshold=%d workers=%d", cfg.Threshold, cfg.Workers),
-		})
-	}
 
 	var res FailoverResult
 	var crashTime time.Duration
@@ -253,48 +177,12 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 	for _, h := range replicas {
 		res.Suspicions += h.FTManager().Stats().Suspicions
 	}
-	if pcapFile != nil {
-		if err := pcapFile.Close(); err != nil {
-			panic(err)
-		}
+	audit, err := inst.Finish()
+	if err != nil {
+		panic(err)
 	}
-	if flight != nil && flight.Dumps() == 0 {
-		if err := flight.Dump(cfg.FlightPrefix); err != nil {
-			panic(err)
-		}
-	}
-	if spans != nil && cfg.SpansPath != "" {
-		f, err := os.Create(cfg.SpansPath)
-		if err != nil {
-			panic(err)
-		}
-		if err := spans.WriteJSON(f); err != nil {
-			f.Close()
-			panic(err)
-		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
-	}
-	if tel != nil {
-		tel.Stop()
-		if err := tel.WriteFile(cfg.SeriesPath); err != nil {
-			panic(err)
-		}
-	}
-	if profiler != nil {
-		if err := profiler.WriteFile(cfg.ProfilePath); err != nil {
-			panic(err)
-		}
-	}
-	if mon != nil {
-		audit := net.FinishAudit(mon)
+	if audit != nil {
 		res.Violations = int(audit.TotalViolations())
-		if cfg.AuditPath != "" {
-			if err := audit.WriteJSON(cfg.AuditPath); err != nil {
-				panic(err)
-			}
-		}
 	}
 	return res
 }

@@ -47,22 +47,26 @@ func TestWorkersInvariantResult(t *testing.T) {
 
 // TestRunScaleInvariantAcrossWorkers: the scaling workload's simulation
 // observables — aggregate throughput and events fired — are identical for
-// every worker count; only wall-clock time may differ.
+// every worker count; only wall-clock time may differ. The 8-pod, 2-worker
+// case is the one ttcpbench -scale runs: several pods then share a worker,
+// and under -race it proves the pods' completion callbacks share nothing.
 func TestRunScaleInvariantAcrossWorkers(t *testing.T) {
-	cfg := ScaleConfig{Pods: 3, TotalBytes: 64 * 1024, Seed: 5}
-	serial := RunScale(cfg)
-	cfg.Workers = 4
-	parallel := RunScale(cfg)
-	if serial.AggKBps != parallel.AggKBps {
-		t.Errorf("aggregate throughput: serial %.3f, parallel %.3f", serial.AggKBps, parallel.AggKBps)
-	}
-	if serial.Events != parallel.Events {
-		t.Errorf("events fired: serial %d, parallel %d", serial.Events, parallel.Events)
-	}
-	if parallel.Domains != cfg.Pods {
-		t.Errorf("partitioned into %d domains, want one per pod (%d)", parallel.Domains, cfg.Pods)
-	}
-	if parallel.MergeTies != 0 {
-		t.Errorf("%d merge ties, want 0", parallel.MergeTies)
+	for _, tc := range []struct{ pods, workers int }{{3, 4}, {8, 2}} {
+		cfg := ScaleConfig{Pods: tc.pods, TotalBytes: 64 * 1024, Seed: 5}
+		serial := RunScale(cfg)
+		cfg.Workers = tc.workers
+		parallel := RunScale(cfg)
+		if serial.AggKBps != parallel.AggKBps {
+			t.Errorf("%+v: aggregate throughput: serial %.3f, parallel %.3f", tc, serial.AggKBps, parallel.AggKBps)
+		}
+		if serial.Events != parallel.Events {
+			t.Errorf("%+v: events fired: serial %d, parallel %d", tc, serial.Events, parallel.Events)
+		}
+		if parallel.Domains != cfg.Pods {
+			t.Errorf("%+v: partitioned into %d domains, want one per pod (%d)", tc, parallel.Domains, cfg.Pods)
+		}
+		if parallel.MergeTies != 0 {
+			t.Errorf("%+v: %d merge ties, want 0", tc, parallel.MergeTies)
+		}
 	}
 }

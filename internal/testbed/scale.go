@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"hydranet"
@@ -28,16 +29,12 @@ type ScaleConfig struct {
 	TotalBytes int
 	// Seed is the simulation seed.
 	Seed int64
-	// ProfilePath, if set, writes a hydraprof profile of the transfers
-	// (per-domain utilization, hand-off matrix, causal critical path; see
-	// hydranet.StartProfile) to this file.
-	ProfilePath string
 	// Invariants attaches the online protocol-invariant monitor; violation
 	// counts land in ScaleResult.Violations.
 	Invariants bool
-	// AuditPath, if set, writes the monitor's audit report as JSON here
-	// (implies Invariants).
-	AuditPath string
+	// Instruments names the run's artifacts, which record the transfers
+	// from the moment registration has settled.
+	Instruments hydranet.Instruments
 }
 
 // ScaleResult reports one RunScale execution.
@@ -59,8 +56,9 @@ type ScaleResult struct {
 	// parallel core exists to shrink.
 	Wall time.Duration `json:"wall_ns"`
 	// Violations counts protocol-invariant violations (0 unless
-	// ScaleConfig.Invariants or AuditPath enabled the monitor; omitted from
-	// JSON when the monitor was off, keeping committed baselines stable).
+	// ScaleConfig.Invariants or Instruments.Audit enabled the monitor;
+	// omitted from JSON when the monitor was off, keeping committed
+	// baselines stable).
 	Violations int `json:"violations,omitempty"`
 }
 
@@ -132,22 +130,10 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 	}
 	net.AutoRoute()
 
-	if cfg.Workers > 1 {
-		if err := net.SetWorkers(cfg.Workers); err != nil {
-			panic(fmt.Sprintf("testbed: scale partition: %v", err))
-		}
+	inst, err := cfg.Instruments.Attach(net, fmt.Sprintf("scale pods=%d", cfg.Pods), cfg.Workers, cfg.Invariants)
+	if err != nil {
+		panic(fmt.Sprintf("testbed: scale partition: %v", err))
 	}
-
-	// The monitor attaches after the partition and before the pods deploy:
-	// it must see every pod's registrations. The label omits the worker
-	// count so audits diff byte-identical across Workers.
-	var mon *hydranet.Monitor
-	if cfg.Invariants || cfg.AuditPath != "" {
-		mon = net.StartMonitor(hydranet.MonitorConfig{
-			Scenario: fmt.Sprintf("scale pods=%d", cfg.Pods),
-		})
-	}
-
 	for i := range pods {
 		p := &pods[i]
 		if _, err := net.DeployFT(p.svc, p.rd, p.replicas, hydranet.FTOptions{},
@@ -156,18 +142,14 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 		}
 	}
 	net.Settle()
-
-	// Attach after registration settles: the profile's event and
-	// critical-path baselines then cover exactly the measured transfers.
-	var profiler *hydranet.Profiler
-	if cfg.ProfilePath != "" {
-		profiler = net.StartProfile(hydranet.ProfileConfig{
-			Scenario: fmt.Sprintf("scale pods=%d workers=%d", cfg.Pods, cfg.Workers),
-		})
+	if err := inst.Record(nil); err != nil {
+		panic(err)
 	}
 
-	remaining := len(pods)
-	var aggKBps float64
+	// Each completion callback runs on its pod's worker and writes only its
+	// own slot; the coordinator reads them between RunFor calls.
+	results := make([]ttcp.Result, len(pods))
+	finished := make([]bool, len(pods))
 	for i := range pods {
 		p := &pods[i]
 		conn, err := p.client.DialEndpoint(hydranet.Endpoint{Addr: p.svc.Addr, Port: p.svc.Port})
@@ -176,25 +158,37 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 		}
 		ttcp.Transmit(p.client.Scheduler(), conn,
 			ttcp.Params{BufLen: cfg.BufLen, TotalBytes: cfg.TotalBytes},
-			func(r ttcp.Result) {
-				aggKBps += r.ThroughputKBps()
-				remaining--
-			})
+			func(r ttcp.Result) { results[i], finished[i] = r, true })
+	}
+	unfinished := func() int {
+		n := 0
+		for _, f := range finished {
+			if !f {
+				n++
+			}
+		}
+		return n
 	}
 
 	start := time.Now()
 	deadline := net.Now() + 30*time.Minute
-	for remaining > 0 && net.Now() < deadline {
+	for unfinished() > 0 && net.Now() < deadline {
 		net.RunFor(time.Second)
 	}
 	wall := time.Since(start)
-	if remaining > 0 {
-		panic(fmt.Sprintf("testbed: scale run wedged with %d pods unfinished", remaining))
+	if n := unfinished(); n > 0 {
+		panic(fmt.Sprintf("testbed: scale run wedged with %d pods unfinished", n))
 	}
-	if profiler != nil {
-		if err := profiler.WriteFile(cfg.ProfilePath); err != nil {
-			panic(err)
-		}
+	audit, err := inst.Finish()
+	if err != nil {
+		panic(err)
+	}
+
+	// Sum in completion order, as a serial run's callbacks would.
+	sort.SliceStable(results, func(a, b int) bool { return results[a].Finished < results[b].Finished })
+	var aggKBps float64
+	for _, r := range results {
+		aggKBps += r.ThroughputKBps()
 	}
 
 	domains, workers := net.Parallel()
@@ -211,14 +205,8 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 	for _, h := range net.Snapshot().Hosts {
 		res.Frames += h.Frames.Sent
 	}
-	if mon != nil {
-		audit := net.FinishAudit(mon)
+	if audit != nil {
 		res.Violations = int(audit.TotalViolations())
-		if cfg.AuditPath != "" {
-			if err := audit.WriteJSON(cfg.AuditPath); err != nil {
-				panic(err)
-			}
-		}
 	}
 	return res
 }

@@ -13,7 +13,6 @@ package testbed
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"hydranet"
@@ -104,20 +103,6 @@ type Config struct {
 	// the figure's qualitative shape must not depend on the calibration
 	// constants). Zero means 1.0.
 	CPUScale float64
-	// PcapPath, if set, captures the measured transfer — every fabric
-	// frame plus the redirector's pre-encapsulation tunnel copies — to
-	// this pcap file.
-	PcapPath string
-	// SeriesPath, if set, exports sampled time series for the measured
-	// transfer (JSONL, or CSV if the path ends in .csv).
-	SeriesPath string
-	// SampleEvery is the telemetry sampling cadence (default 100 ms of
-	// virtual time). Used only with SeriesPath.
-	SampleEvery time.Duration
-	// ProfilePath, if set, writes a hydraprof profile of the measured
-	// transfer (per-domain utilization, causal critical path; see
-	// hydranet.StartProfile) to this file.
-	ProfilePath string
 	// Workers partitions the network into synchronization domains and runs
 	// them across this many worker threads (see hydranet.SetWorkers). 0 or 1
 	// keeps the serial scheduler; any larger count produces identical
@@ -126,9 +111,9 @@ type Config struct {
 	// Invariants attaches the online protocol-invariant monitor; violation
 	// counts land in RunInfo.Violations.
 	Invariants bool
-	// AuditPath, if set, writes the monitor's audit report as JSON here
-	// (implies Invariants).
-	AuditPath string
+	// Instruments names the artifacts of the measured transfer, which
+	// record from the dial on.
+	Instruments hydranet.Instruments
 }
 
 // ServiceAddr is the replicated service's virtual address — a host that
@@ -146,7 +131,7 @@ type RunInfo struct {
 	Frames uint64        // fabric frames sent, summed over all nodes
 	Wall   time.Duration // host wall-clock time for the run
 	// Violations counts protocol-invariant violations (0 unless
-	// Config.Invariants or AuditPath enabled the monitor).
+	// Config.Invariants or Instruments.Audit enabled the monitor).
 	Violations int
 }
 
@@ -237,7 +222,7 @@ func run(cfg Config) (ttcp.Result, *hydranet.Net, *hydranet.AuditReport) {
 	// Return traffic and the acknowledgment channel go host-to-host, as
 	// the paper notes ("there is no need for redirectors to handle
 	// messages directed from servers to clients").
-	var mon *hydranet.Monitor
+	var inst *hydranet.Observers
 	mesh := func(hosts ...*hydranet.Host) {
 		for i := 0; i < len(hosts); i++ {
 			for j := i + 1; j < len(hosts); j++ {
@@ -245,22 +230,12 @@ func run(cfg Config) (ttcp.Result, *hydranet.Net, *hydranet.AuditReport) {
 			}
 		}
 		net.AutoRoute()
-		// The topology is final here, and nothing is deployed or dialed yet —
-		// the one point where partitioning is legal.
-		if cfg.Workers > 1 {
-			if err := net.SetWorkers(cfg.Workers); err != nil {
-				panic(fmt.Sprintf("testbed: partition: %v", err))
-			}
-		}
-		// The monitor attaches right after the partition and before the
-		// case deploys anything: it must see the registration events, and
-		// under the parallel core it consumes the barrier-ordered replayed
-		// stream. The label omits the worker count so audits diff
-		// byte-identical across Workers.
-		if cfg.Invariants || cfg.AuditPath != "" {
-			mon = net.StartMonitor(hydranet.MonitorConfig{
-				Scenario: fmt.Sprintf("figure4 %s buf=%d", cfg.Case, cfg.BufLen),
-			})
+		// The topology is final here, and nothing is deployed or dialed yet.
+		var err error
+		inst, err = cfg.Instruments.Attach(net,
+			fmt.Sprintf("figure4 %s buf=%d", cfg.Case, cfg.BufLen), cfg.Workers, cfg.Invariants)
+		if err != nil {
+			panic(fmt.Sprintf("testbed: partition: %v", err))
 		}
 	}
 
@@ -311,34 +286,10 @@ func run(cfg Config) (ttcp.Result, *hydranet.Net, *hydranet.AuditReport) {
 		panic(fmt.Sprintf("testbed: unknown case %d", cfg.Case))
 	}
 
-	// The capture attaches after the topology (and its redirector, if any)
-	// exists but before the scheduler runs the transfer: the dial above
-	// only enqueued the SYN, so every frame of the measured stream is
-	// still ahead of us.
-	var pcapFile *os.File
-	if cfg.PcapPath != "" {
-		f, err := os.Create(cfg.PcapPath)
-		if err != nil {
-			panic(err)
-		}
-		pcapFile = f
-		if _, err := net.StartCapture(f); err != nil {
-			panic(err)
-		}
-	}
-	// The telemetry sampler attaches at the same point, for the same
-	// reason: its first tick then covers the measured stream from byte 0.
-	var tel *hydranet.Telemetry
-	if cfg.SeriesPath != "" {
-		tel = net.StartSampler(hydranet.SamplerConfig{Every: cfg.SampleEvery})
-	}
-	// So does the profiler: its event and critical-path baselines reset at
-	// attach, so the profile covers exactly the measured transfer.
-	var profiler *hydranet.Profiler
-	if cfg.ProfilePath != "" {
-		profiler = net.StartProfile(hydranet.ProfileConfig{
-			Scenario: fmt.Sprintf("figure4 %s buf=%d", cfg.Case, cfg.BufLen),
-		})
+	// The dial above only enqueued the SYN, so every frame of the measured
+	// stream is still ahead of the recorders.
+	if err := inst.Record(nil); err != nil {
+		panic(err)
 	}
 
 	// Generous ceiling: slow small-packet runs take tens of virtual
@@ -347,31 +298,9 @@ func run(cfg Config) (ttcp.Result, *hydranet.Net, *hydranet.AuditReport) {
 	for !done && net.Now() < deadline {
 		net.RunFor(time.Second)
 	}
-	if pcapFile != nil {
-		if err := pcapFile.Close(); err != nil {
-			panic(err)
-		}
-	}
-	if tel != nil {
-		tel.Stop()
-		if err := tel.WriteFile(cfg.SeriesPath); err != nil {
-			panic(err)
-		}
-	}
-	if profiler != nil {
-		if err := profiler.WriteFile(cfg.ProfilePath); err != nil {
-			panic(err)
-		}
-	}
-	var audit *hydranet.AuditReport
-	if mon != nil {
-		r := net.FinishAudit(mon)
-		audit = &r
-		if cfg.AuditPath != "" {
-			if err := r.WriteJSON(cfg.AuditPath); err != nil {
-				panic(err)
-			}
-		}
+	audit, err := inst.Finish()
+	if err != nil {
+		panic(err)
 	}
 	return result, net, audit
 }
