@@ -4,8 +4,6 @@
 // each be caught, and the sanctioned per-domain patterns must stay clean.
 package netsim
 
-import "sync"
-
 type scheduler struct{}
 
 func (s *scheduler) At(t int, fn func()) {}
@@ -32,10 +30,6 @@ type domainRT struct {
 	sched *scheduler
 	pool  *pool
 	bus   *bus
-	inbox struct {
-		mu      sync.Mutex
-		entries []int
-	}
 }
 
 // Node belongs to exactly one domain.
@@ -47,16 +41,6 @@ type Node struct {
 // Scheduler is a Network method: the serial path and coordinator-context
 // orchestration own the shared singletons. Clean.
 func (n *Network) Scheduler() *scheduler { return n.sched }
-
-// Quiesce is a Network method too; touching every domain's inbox under its
-// lock is the sanctioned protocol. Clean.
-func (n *Network) Quiesce() {
-	for _, d := range n.doms {
-		d.inbox.mu.Lock()
-		d.inbox.entries = d.inbox.entries[:0]
-		d.inbox.mu.Unlock()
-	}
-}
 
 // domainLocal is the sanctioned worker-context pattern: everything through
 // the node's own domain. Clean.
@@ -93,108 +77,6 @@ func freeFunc(n *Network) {
 // Clean.
 func annotated(n *Network) {
 	n.sched.At(0, func() {}) //hydralint:domainsafe runs between windows, workers quiescent
-}
-
-// unlockedInbox bypasses the hand-off protocol: a direct append into a
-// foreign domain's inbox without the lock.
-func (nd *Node) unlockedInbox(dst *domainRT, v int) {
-	dst.inbox.entries = append(dst.inbox.entries, v) // want "inbox entries accessed without dst.inbox.mu.Lock" "inbox entries accessed without dst.inbox.mu.Lock"
-}
-
-// lockedInbox is the sanctioned hand-off flush. Clean.
-func (nd *Node) lockedInbox(dst *domainRT, v int) {
-	dst.inbox.mu.Lock()
-	dst.inbox.entries = append(dst.inbox.entries, v)
-	dst.inbox.mu.Unlock()
-}
-
-// aliasedLock pairs the lock and the access through the same alias, like
-// the real StageHandoffs. Clean.
-func (d *domainRT) aliasedLock() int {
-	in := &d.inbox
-	in.mu.Lock()
-	n := len(in.entries)
-	in.mu.Unlock()
-	return n
-}
-
-// mismatchedAlias locks through one name but reads through another: the
-// analysis pairs on rendered receiver text, not points-to facts, so the
-// read is flagged — rewrite to use one name (or annotate).
-func (d *domainRT) mismatchedAlias() int {
-	in := &d.inbox
-	d.inbox.mu.Lock()
-	n := len(in.entries) // want "inbox entries accessed without in.mu.Lock"
-	d.inbox.mu.Unlock()
-	return n
-}
-
-// annotatedInbox documents why the lock is unnecessary. Clean.
-func (d *domainRT) annotatedInbox() int {
-	return len(d.inbox.entries) //hydralint:domainsafe coordinator context, every worker quiescent
-}
-
-// branchLock takes the lock on only one branch: at the access the mutex
-// is not held on every path, so the flow-sensitive fence flags it.
-func (d *domainRT) branchLock(c bool) int {
-	if c {
-		d.inbox.mu.Lock()
-	}
-	n := len(d.inbox.entries) // want "inbox entries accessed without d.inbox.mu.Lock"
-	if c {
-		d.inbox.mu.Unlock()
-	}
-	return n
-}
-
-// releasedTooEarly unlocks before the read: a purely lexical "Lock
-// earlier in this function" check would accept this, the locked-region
-// analysis does not.
-func (d *domainRT) releasedTooEarly() int {
-	d.inbox.mu.Lock()
-	d.inbox.mu.Unlock()
-	return len(d.inbox.entries) // want "inbox entries accessed without d.inbox.mu.Lock"
-}
-
-// deferUnlock releases at return, after every access. Clean.
-func (d *domainRT) deferUnlock() int {
-	d.inbox.mu.Lock()
-	defer d.inbox.mu.Unlock()
-	return len(d.inbox.entries)
-}
-
-// bothBranchesLock acquires on every path into the merge, so the access
-// is must-protected. Clean.
-func (d *domainRT) bothBranchesLock(c bool) int {
-	if c {
-		d.inbox.mu.Lock()
-	} else {
-		d.inbox.mu.Lock()
-	}
-	n := len(d.inbox.entries)
-	d.inbox.mu.Unlock()
-	return n
-}
-
-// lockPerIteration re-acquires inside the loop body before each touch,
-// like the real StageHandoffs. Clean.
-func (d *domainRT) lockPerIteration(others []*domainRT) {
-	for _, o := range others {
-		o.inbox.mu.Lock()
-		o.inbox.entries = o.inbox.entries[:0]
-		o.inbox.mu.Unlock()
-	}
-}
-
-// closureNoLeak: holding the lock while building a closure does not bless
-// the closure's own accesses — it may run long after the unlock.
-func (d *domainRT) closureNoLeak() func() int {
-	d.inbox.mu.Lock()
-	fn := func() int {
-		return len(d.inbox.entries) // want "inbox entries accessed without d.inbox.mu.Lock"
-	}
-	d.inbox.mu.Unlock()
-	return fn
 }
 
 // staleNondeterministic carries an annotation on a line with nothing

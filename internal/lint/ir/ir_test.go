@@ -150,8 +150,8 @@ func target() { defer f(); if true { defer f() } }`
 }
 
 // TestForwardMustAnalysis runs a miniature locked-region analysis: the
-// fact is "definitely holding the lock", join is AND. It is the shape the
-// determinism analyzer's inbox fence uses.
+// fact is "definitely holding the lock", join is AND: the shape of any
+// flow-sensitive locked-region check built on the solver.
 func TestForwardMustAnalysis(t *testing.T) {
 	src := `package p
 var c bool

@@ -1,8 +1,9 @@
 // Package lockorder proves deadlock-freedom properties of the parallel
 // core's locking discipline. The conservative parallel engine (DESIGN.md
-// §10) synchronizes through exactly three mechanisms — per-domain inbox
-// mutexes, the group scheduler's mutex, and coordinator barriers
-// (sync.WaitGroup) — and its liveness argument is a lock-order argument:
+// §10) synchronizes through exactly two mechanisms — the group
+// scheduler's mutex and coordinator barriers (sync.WaitGroup), at which the
+// coordinator also exchanges cross-domain hand-offs with every worker
+// parked — and its liveness argument is a lock-order argument:
 // no worker ever holds a lock while waiting on another domain. That
 // argument is invisible to the compiler and to the race detector (which
 // only sees schedules that actually happened). This analyzer checks it
@@ -20,9 +21,9 @@
 //     acquired while an instance of the same class is already held — is
 //     reported at every participating acquisition site.
 //
-//   - Locks held across a hand-off or barrier: a sync.WaitGroup.Wait, a
-//     StageHandoffs call, or a SendFrame call reached while any lock may
-//     be held, directly or through a same-package callee that blocks.
+//   - Locks held across a hand-off or barrier: a sync.WaitGroup.Wait or a
+//     SendFrame call reached while any lock may be held, directly or
+//     through a same-package callee that blocks.
 //     These are the points where the coordinator waits for every domain
 //     (or publishes a frame to another domain); holding a mutex there
 //     stalls the whole window.
@@ -32,8 +33,8 @@
 //     recursive locking; this self-deadlocks at run time).
 //
 // Lock identity is two-level. The *class* — package.Type.fieldPath, e.g.
-// netsim.domainRT.inbox.mu — names a lock in the acquisition-order graph;
-// the *instance* — the rendered receiver text, e.g. d.inbox.mu — detects
+// sim.Group.mu — names a lock in the acquisition-order graph; the
+// *instance* — the rendered receiver text, e.g. g.mu — detects
 // double-locking of one object. Function literals are analyzed as
 // independent functions with an empty initial lock set, and their
 // acquisitions do not count toward the enclosing function's summary: a
@@ -64,13 +65,10 @@ var Analyzer = &lint.Analyzer{
 	Run:  run,
 }
 
-// handoffCallees are the hand-off points of the parallel engine: calls
-// that publish work to (or wait on) another synchronization domain. A
-// mutex held across one of these stalls every domain behind it.
-var handoffCallees = map[string]bool{
-	"StageHandoffs": true,
-	"SendFrame":     true,
-}
+// handoffCallee is the hand-off point of the parallel engine: the call
+// that publishes a frame toward another synchronization domain. A mutex
+// held across it stalls every domain behind it.
+const handoffCallee = "SendFrame"
 
 // held maps each lock instance (rendered receiver text) to its class and
 // the position where it was acquired. It is the may-analysis fact: an
@@ -323,7 +321,7 @@ func (a *analysis) checkCallHazards(call *ast.CallExpr, f held) {
 }
 
 // directBlocker recognizes the barrier and hand-off calls themselves:
-// sync.WaitGroup.Wait, StageHandoffs, SendFrame.
+// sync.WaitGroup.Wait and SendFrame.
 func (a *analysis) directBlocker(call *ast.CallExpr) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if ok && sel.Sel.Name == "Wait" && isWaitGroup(a.pass.TypesInfo.TypeOf(sel.X)) {
@@ -336,7 +334,7 @@ func (a *analysis) directBlocker(call *ast.CallExpr) string {
 	case *ast.SelectorExpr:
 		name = fun.Sel.Name
 	}
-	if handoffCallees[name] {
+	if name == handoffCallee {
 		return name + " (cross-domain hand-off)"
 	}
 	return ""
@@ -368,7 +366,7 @@ func (a *analysis) mutexOp(call *ast.CallExpr) (class, key string, acquires, ok 
 }
 
 // lockClass names the lock for the acquisition-order graph: the owning
-// named type plus the field path to the mutex (netsim.domainRT.inbox.mu),
+// named type plus the field path to the mutex (sim.Group.mu),
 // or package.name for a bare mutex variable.
 func (a *analysis) lockClass(mutexExpr ast.Expr) string {
 	var fields []string

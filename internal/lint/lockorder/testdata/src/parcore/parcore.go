@@ -1,6 +1,6 @@
 // Package parcore is lockorder testdata shaped like the parallel engine:
-// a coordinator with a barrier, domain runtimes with inbox mutexes, and a
-// scheduler mutex. The seeded violations below must each be caught; the
+// a coordinator with a barrier, per-domain mutexes, and a scheduler
+// mutex. The seeded violations below must each be caught; the
 // sanctioned patterns (consistent nesting, per-iteration locking,
 // release-before-barrier) must stay clean.
 package parcore
@@ -13,9 +13,10 @@ type sched struct {
 	pending []int
 }
 
-// domain mirrors netsim.domainRT: a hand-off inbox under its own mutex.
+// domain is a per-domain queue under its own mutex: every instance shares
+// one lock class.
 type domain struct {
-	inbox struct {
+	queue struct {
 		mu      sync.Mutex
 		entries []int
 	}
@@ -28,13 +29,11 @@ type coord struct {
 	doms []*domain
 }
 
-func (c *coord) StageHandoffs() {}
-
 func SendFrame(v int) {}
 
 // resA and resB are two independently lockable resources. The inversion
 // seeds use dedicated classes so the cycle they form does not contaminate
-// the sanctioned scheduler→inbox nesting below (every acquisition edge
+// the sanctioned scheduler→queue nesting below (every acquisition edge
 // inside a cyclic component is reported).
 type resA struct{ mu sync.Mutex }
 
@@ -65,13 +64,6 @@ func (c *coord) heldAcrossBarrier() {
 	c.sch.mu.Lock()
 	c.wg.Wait() // want "held across sync.WaitGroup.Wait"
 	c.sch.mu.Unlock()
-}
-
-// heldAcrossStage holds an inbox lock into the staging hand-off.
-func (c *coord) heldAcrossStage(d *domain) {
-	d.inbox.mu.Lock()
-	c.StageHandoffs() // want "held across StageHandoffs"
-	d.inbox.mu.Unlock()
 }
 
 // heldAcrossSend publishes a frame with a lock held.
@@ -122,41 +114,41 @@ func (c *coord) branchDoubleLock(cond bool) {
 	c.sch.mu.Unlock()
 }
 
-// twoInboxes holds one domain's inbox while taking another's: two
+// twoQueues holds one domain's queue while taking another's: two
 // instances of one class with no global instance order.
-func (c *coord) twoInboxes(d1, d2 *domain) {
-	d1.inbox.mu.Lock()
-	d2.inbox.mu.Lock() // want "instance of the same lock class"
-	d2.inbox.mu.Unlock()
-	d1.inbox.mu.Unlock()
+func (c *coord) twoQueues(d1, d2 *domain) {
+	d1.queue.mu.Lock()
+	d2.queue.mu.Lock() // want "instance of the same lock class"
+	d2.queue.mu.Unlock()
+	d1.queue.mu.Unlock()
 }
 
 // --- sanctioned patterns (clean) ---
 
-// nestedConsistent always acquires scheduler before inbox; so does
+// nestedConsistent always acquires scheduler before queue; so does
 // nestedConsistent2. One order, no cycle.
 func (c *coord) nestedConsistent(d *domain) {
 	c.sch.mu.Lock()
-	d.inbox.mu.Lock()
-	d.inbox.entries = append(d.inbox.entries, 1)
-	d.inbox.mu.Unlock()
+	d.queue.mu.Lock()
+	d.queue.entries = append(d.queue.entries, 1)
+	d.queue.mu.Unlock()
 	c.sch.mu.Unlock()
 }
 
 func (c *coord) nestedConsistent2(d *domain) {
 	c.sch.mu.Lock()
-	d.inbox.mu.Lock()
-	d.inbox.entries = d.inbox.entries[:0]
-	d.inbox.mu.Unlock()
+	d.queue.mu.Lock()
+	d.queue.entries = d.queue.entries[:0]
+	d.queue.mu.Unlock()
 	c.sch.mu.Unlock()
 }
 
-// perIteration locks each domain's inbox one at a time: never two held.
+// perIteration locks each domain's queue one at a time: never two held.
 func (c *coord) perIteration() {
 	for _, d := range c.doms {
-		d.inbox.mu.Lock()
-		d.inbox.entries = d.inbox.entries[:0]
-		d.inbox.mu.Unlock()
+		d.queue.mu.Lock()
+		d.queue.entries = d.queue.entries[:0]
+		d.queue.mu.Unlock()
 	}
 }
 
@@ -182,9 +174,9 @@ func (c *coord) deferNoBarrier() int {
 func (c *coord) workerBody(d *domain) func() {
 	c.sch.mu.Lock()
 	fn := func() {
-		d.inbox.mu.Lock()
-		d.inbox.entries = append(d.inbox.entries, 2)
-		d.inbox.mu.Unlock()
+		d.queue.mu.Lock()
+		d.queue.entries = append(d.queue.entries, 2)
+		d.queue.mu.Unlock()
 	}
 	c.sch.mu.Unlock()
 	return fn

@@ -1,9 +1,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"hydranet/internal/frame"
@@ -12,30 +12,21 @@ import (
 )
 
 // domainRT is the per-domain execution state of a partitioned network: a
-// private scheduler and frame pool, an inbox of timestamped cross-domain
-// frame hand-offs, and per-destination outboxes batching this domain's own
-// hand-offs until the window barrier.
+// private scheduler and frame pool, plus an outbox of the timestamped
+// cross-domain frame hand-offs this domain sent during the current window.
 //
 // Concurrency contract (enforced by the sim.Group phase structure and
 // checked by the hydralint domainfence analyzer):
 //
-//   - During a window, a domain's worker touches only its own state plus
-//     its outbox batches. Nothing here is shared.
-//   - At the window edge the worker flushes each outbox batch into the
-//     destination inbox under that inbox's mutex — the only lock on the
-//     cross-domain path, taken once per (src,dst) pair per window.
-//   - At the barrier the coordinator stages every inbox (StageHandoffs), and
-//     at the next window start the destination drains the staged set only,
-//     merges the entries in (arrive, birth, src) order, copies each frame
-//     into its own pool and schedules delivery with the original birth, so
-//     the event lands exactly where a single serial scheduler would have
-//     placed it. Staging pins the drain to the window protocol: without it,
-//     whether a destination sees a flush this cycle or next would depend on
-//     how domains are strided across workers, and pool accounting sampled at
-//     barriers would vary with the worker count.
-//   - A handed-off frame buffer stays owned by the sender's pool. The
-//     sender releases it two barriers later (sentNew → sentMid → released),
-//     by which point the destination has long since taken its copy.
+//   - During a window, a domain's worker touches only its own state,
+//     outbox included. Nothing here is shared and nothing is locked.
+//   - At the barrier, with every worker parked, the coordinator runs
+//     Network.ExchangeHandoffs: it copies each outbox frame into the
+//     destination's pool, releases the original to the sender's pool, and
+//     schedules delivery with the original birth, so the event lands
+//     exactly where a single serial scheduler would have placed it. After
+//     every barrier each hand-off is an ordinary pending event in its
+//     destination's scheduler.
 type domainRT struct {
 	net   *Network
 	id    int
@@ -43,15 +34,7 @@ type domainRT struct {
 	pool  *frame.Pool
 	bus   *obs.Bus // per-domain emission target (a view in parallel mode)
 
-	inbox struct {
-		mu      sync.Mutex
-		entries []handoff
-	}
-	staged []handoff   // inbox entries published at the last barrier
-	outbox [][]handoff // indexed by destination domain; worker-local
-
-	sentNew []*frame.Buf // hand-off buffers sent this window
-	sentMid []*frame.Buf // sent last window; destination has copied them
+	outbox  []handoff // hand-offs sent this window; worker-local
 	arrFree []*pendingArrival
 
 	handoffs  uint64   // frames handed across domains
@@ -59,7 +42,7 @@ type domainRT struct {
 	ties      uint64   // ambiguous cross-domain merge ties (see MergeTies)
 }
 
-// handoff is one cross-domain frame in flight: it arrives on dst's
+// handoff is one cross-domain frame in flight: it arrives on node's
 // interface ifindex at virtual time arrive, and was sent by an event in
 // domain src executing at virtual time birth.
 type handoff struct {
@@ -73,7 +56,7 @@ type handoff struct {
 }
 
 // pendingArrival is a recycled delivery record: its cached fire closure
-// keeps the merge path allocation-free in steady state.
+// keeps the exchange path allocation-free in steady state.
 type pendingArrival struct {
 	dom     *domainRT
 	node    *Node
@@ -150,7 +133,6 @@ func (n *Network) SetDomains(assign []int, scheds []*sim.Scheduler) (time.Durati
 	doms := make([]*domainRT, len(scheds))
 	for i, s := range scheds {
 		d := &domainRT{net: n, id: i, sched: s, pool: frame.NewPool(), bus: n.bus}
-		d.outbox = make([][]handoff, len(scheds))
 		d.handoffTo = make([]uint64, len(scheds))
 		doms[i] = d
 	}
@@ -217,21 +199,19 @@ func (n *Network) MergeTies() uint64 {
 	return total
 }
 
-// PoolOutstanding counts in-flight frame buffers net-wide, each logical
-// frame exactly once: a handed-off frame is double-held for one window (the
-// sender retains the original until its deferred release while the
-// destination owns the copy), and subtracting the consumed generation
-// (sentMid) removes exactly those duplicates. Serial networks report the
-// plain pool occupancy, so the value is partition-invariant — a telemetry
-// sampler reads the same gauge at the same virtual instant under any
-// partition. Coordinator context (a barrier or between runs) only.
+// PoolOutstanding counts in-flight frame buffers net-wide. Every hand-off
+// is exchanged at the barrier that closes its window, so outside a window
+// each logical frame is held by exactly one pool, and the sum equals a
+// serial run's occupancy at the same virtual instant: a telemetry sampler
+// reads the same gauge under any partition. Coordinator context (a barrier
+// or between runs) only.
 func (n *Network) PoolOutstanding() int {
 	if n.doms == nil {
 		return n.pool.Outstanding()
 	}
 	total := 0
 	for _, d := range n.doms {
-		total += d.pool.Outstanding() - len(d.sentMid)
+		total += d.pool.Outstanding()
 	}
 	return total
 }
@@ -253,193 +233,65 @@ func (n *Network) PoolMisses() uint64 {
 	return total
 }
 
-// PendingHandoffs counts undelivered cross-domain hand-offs — frames a
-// serial scheduler would hold as pending delivery events — wherever they sit
-// in the pipeline (outbox, inbox, or staged). Coordinator context only.
-func (n *Network) PendingHandoffs() int {
-	total := 0
+// ExchangeHandoffs delivers every hand-off sent during the window just
+// closed. It is the first step of the sim.Group barrier hook: coordinator
+// context, every worker parked, before observation replay and before any
+// global event at this barrier fires, so a global that schedules domain
+// work sorts after the hand-offs a serial run would already have queued.
+//
+// The outboxes are gathered in source-domain order and stable-sorted on
+// (destination, arrive, birth, src): stability preserves per-source send
+// order, which equals the source domain's execution order — the same FIFO
+// tie-break the serial scheduler's sequence counter applies. Each frame is
+// copied into the destination's pool, the original goes back to the
+// sender's pool, and delivery is scheduled with the sender's birth.
+func (n *Network) ExchangeHandoffs() {
+	all := n.exchange[:0]
 	for _, d := range n.doms {
-		d.inbox.mu.Lock()
-		total += len(d.inbox.entries)
-		d.inbox.mu.Unlock()
-		total += len(d.staged)
-		for _, batch := range d.outbox {
-			total += len(batch)
-		}
+		all = append(all, d.outbox...)
+		clear(d.outbox)
+		d.outbox = d.outbox[:0]
 	}
-	return total
-}
-
-// StageHandoffs publishes every inbox flush to its destination's staging
-// area. Coordinator context (every barrier, all workers parked): fixing the
-// drained set here makes each window's deliveries a function of the window
-// protocol alone, independent of how domains are strided across workers.
-func (n *Network) StageHandoffs() {
-	for _, d := range n.doms {
-		in := &d.inbox
-		in.mu.Lock()
-		if len(in.entries) > 0 {
-			d.staged = append(d.staged, in.entries...)
-			for i := range in.entries {
-				in.entries[i].fb = nil
-				in.entries[i].node = nil
-			}
-			in.entries = in.entries[:0]
+	slices.SortStableFunc(all, func(a, b handoff) int {
+		if c := cmp.Compare(a.node.dom.id, b.node.dom.id); c != 0 {
+			return c
 		}
-		in.mu.Unlock()
-	}
-}
-
-// WindowStart is the sim.Group window-start hook for domain id: release
-// hand-off buffers the destinations have consumed, then drain, merge and
-// schedule this domain's staged hand-offs. Runs in worker context.
-func (n *Network) WindowStart(id int) {
-	d := n.doms[id]
-	for i, fb := range d.sentMid {
-		fb.Release()
-		d.sentMid[i] = nil
-	}
-	d.sentMid, d.sentNew = d.sentNew, d.sentMid[:0]
-
-	entries := d.staged
-	if len(entries) == 0 {
-		return
-	}
-	// Stable sort on (arrive, birth, src): stability preserves per-source
-	// send order, which equals the source domain's execution order — the
-	// same FIFO tie-break the serial scheduler's sequence counter applies.
-	sort.SliceStable(entries, func(i, j int) bool {
-		a, b := &entries[i], &entries[j]
-		if a.arrive != b.arrive {
-			return a.arrive < b.arrive
+		if c := cmp.Compare(a.arrive, b.arrive); c != 0 {
+			return c
 		}
-		if a.birth != b.birth {
-			return a.birth < b.birth
+		if c := cmp.Compare(a.birth, b.birth); c != 0 {
+			return c
 		}
-		return a.src < b.src
+		return cmp.Compare(a.src, b.src)
 	})
-	for i := range entries {
-		e := &entries[i]
+	for i := range all {
+		e := &all[i]
+		dd := e.node.dom
 		if i > 0 {
-			p := &entries[i-1]
-			if p.arrive == e.arrive && p.birth == e.birth && p.src != e.src {
-				d.ties++
+			p := &all[i-1]
+			if p.node.dom == dd && p.arrive == e.arrive && p.birth == e.birth && p.src != e.src {
+				dd.ties++
 			}
 		}
-		nb := d.pool.GetCopy(e.fb.Bytes())
-		pa := d.getArrival()
+		pa := dd.getArrival()
 		pa.node = e.node
 		pa.ifindex = int(e.ifindex)
-		pa.fb = nb
+		pa.fb = dd.pool.GetCopy(e.fb.Bytes())
+		e.fb.Release()
 		// AtBirthFrom carries the sender event's causal depth across the
 		// domain boundary, so a profiled run's critical path matches the
 		// chain a serial scheduler would have recorded.
-		d.sched.AtBirthFrom(e.arrive, e.birth, e.depth, pa.fireFn)
-		e.fb = nil
-		e.node = nil
+		dd.sched.AtBirthFrom(e.arrive, e.birth, e.depth, pa.fireFn)
 	}
-	d.staged = d.staged[:0]
-}
-
-// WindowEnd is the sim.Group window-end hook for domain id: flush every
-// non-empty outbox batch into its destination inbox, one lock acquisition
-// per destination. Runs in worker context.
-func (n *Network) WindowEnd(id int) {
-	d := n.doms[id]
-	for dst, batch := range d.outbox {
-		if len(batch) == 0 {
-			continue
-		}
-		t := n.doms[dst]
-		t.inbox.mu.Lock()
-		t.inbox.entries = append(t.inbox.entries, batch...)
-		t.inbox.mu.Unlock()
-		for i := range batch {
-			batch[i].fb = nil
-			batch[i].node = nil
-		}
-		d.outbox[dst] = batch[:0]
-	}
-}
-
-// EarliestHandoff reports the smallest arrival time over every undelivered
-// hand-off, for the Group's idle-window skip. Coordinator context (all
-// workers parked), but the inbox locks are taken anyway so the race
-// detector can verify the phase discipline.
-func (n *Network) EarliestHandoff() (time.Duration, bool) {
-	var best time.Duration
-	ok := false
-	for _, d := range n.doms {
-		d.inbox.mu.Lock()
-		for i := range d.inbox.entries {
-			if t := d.inbox.entries[i].arrive; !ok || t < best {
-				best, ok = t, true
-			}
-		}
-		d.inbox.mu.Unlock()
-		for i := range d.staged {
-			if t := d.staged[i].arrive; !ok || t < best {
-				best, ok = t, true
-			}
-		}
-		// Outbox batches only hold frames sent from coordinator context
-		// (setup code transmitting between runs); during a run every batch is
-		// flushed before the coordinator looks.
-		for _, batch := range d.outbox {
-			for i := range batch {
-				if t := batch[i].arrive; !ok || t < best {
-					best, ok = t, true
-				}
-			}
-		}
-	}
-	return best, ok
-}
-
-// Quiesce releases every hand-off buffer still held by the partition:
-// consumed generations awaiting their deferred release, and unconsumed
-// in-flight entries whose delivery window never ran (frames "on the wire"
-// past a RunUntil deadline). Coordinator context only, with no further
-// windows scheduled — after Quiesce, pool accounting matches a serial run
-// that was cut off at the same instant. Safe to call repeatedly.
-func (n *Network) Quiesce() {
-	for _, d := range n.doms {
-		d.inbox.mu.Lock()
-		// Entries still in the inbox reference buffers that also sit in
-		// their sender's sentNew list; dropping the entries here and
-		// releasing via the sent lists below frees each buffer exactly once.
-		for i := range d.inbox.entries {
-			d.inbox.entries[i].fb = nil
-			d.inbox.entries[i].node = nil
-		}
-		d.inbox.entries = d.inbox.entries[:0]
-		d.inbox.mu.Unlock()
-		for i := range d.staged {
-			d.staged[i].fb = nil
-			d.staged[i].node = nil
-		}
-		d.staged = d.staged[:0]
-	}
-	for _, d := range n.doms {
-		for i, fb := range d.sentMid {
-			fb.Release()
-			d.sentMid[i] = nil
-		}
-		d.sentMid = d.sentMid[:0]
-		for i, fb := range d.sentNew {
-			fb.Release()
-			d.sentNew[i] = nil
-		}
-		d.sentNew = d.sentNew[:0]
-	}
+	clear(all)
+	n.exchange = all[:0]
 }
 
 // handoffFrame queues fb for delivery in the destination's domain. Called
 // from Link.transmit in the sender's worker context; sd is the sender-side
-// domain, which keeps ownership of fb until two barriers from now.
+// domain, whose pool keeps fb until the barrier's exchange releases it.
 func (sd *domainRT) handoffFrame(arrive time.Duration, dst endpoint, fb *frame.Buf) {
-	dd := dst.node.dom
-	sd.outbox[dd.id] = append(sd.outbox[dd.id], handoff{
+	sd.outbox = append(sd.outbox, handoff{
 		arrive:  arrive,
 		birth:   sd.sched.Now(),
 		depth:   sd.sched.CurrentDepth(),
@@ -448,7 +300,6 @@ func (sd *domainRT) handoffFrame(arrive time.Duration, dst endpoint, fb *frame.B
 		node:    dst.node,
 		fb:      fb,
 	})
-	sd.sentNew = append(sd.sentNew, fb)
 	sd.handoffs++
-	sd.handoffTo[dd.id]++
+	sd.handoffTo[dst.node.dom.id]++
 }

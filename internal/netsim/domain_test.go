@@ -108,9 +108,8 @@ func runPartitioned(t *testing.T, workers int) map[string][]traceRec {
 	}
 	kickTraffic(nodes)
 	g := sim.NewGroup(scheds, lookahead, workers)
-	g.SetHooks(net.WindowStart, net.WindowEnd, net.StageHandoffs, net.EarliestHandoff)
+	g.SetBarrier(net.ExchangeHandoffs)
 	g.Run()
-	net.Quiesce()
 	if ties := net.MergeTies(); ties != 0 {
 		t.Fatalf("%d ambiguous merge ties in a staggered topology, want 0", ties)
 	}
@@ -174,9 +173,8 @@ func TestRunUntilDeadlineMatchesSerial(t *testing.T) {
 	}
 	kickTraffic(pnodes)
 	g := sim.NewGroup(scheds, lookahead, 2)
-	g.SetHooks(net.WindowStart, net.WindowEnd, net.StageHandoffs, net.EarliestHandoff)
+	g.SetBarrier(net.ExchangeHandoffs)
 	g.RunUntil(deadline)
-	net.Quiesce()
 	par := collect(ptracers)
 
 	for node, want := range serial {
@@ -231,31 +229,94 @@ func TestSetDomainsValidation(t *testing.T) {
 	}
 }
 
-func TestQuiesceReleasesInFlightHandoffs(t *testing.T) {
-	s, net, nodes, _ := pingPongTopology(t, 7)
-	s2 := sim.NewScheduler(7_000_001)
-	scheds := []*sim.Scheduler{s, s2}
+// TestPoolOutstandingMatchesSerial checks frame-buffer accounting across
+// the partition: a run cut off mid-flight holds exactly the buffers a serial
+// run holds at the same instant (the invariant monitor's frame-conservation
+// rule reads this count), and a drained run leaks nothing in any pool.
+func TestPoolOutstandingMatchesSerial(t *testing.T) {
+	cut := 500 * time.Microsecond
+
+	s, serialNet, nodes, _ := pingPongTopology(t, 7)
+	kickTraffic(nodes)
+	s.RunUntil(cut)
+	want := serialNet.Pool().Outstanding()
+	if want == 0 {
+		t.Fatal("serial run holds no buffers at the cut — nothing in flight to compare")
+	}
+
+	s0, net, pnodes, _ := pingPongTopology(t, 7)
+	scheds := []*sim.Scheduler{s0, sim.NewScheduler(7_000_001)}
 	lookahead, err := net.SetDomains([]int{0, 0, 1, 1}, scheds)
 	if err != nil {
 		t.Fatalf("SetDomains: %v", err)
 	}
-	kickTraffic(nodes)
+	kickTraffic(pnodes)
 	g := sim.NewGroup(scheds, lookahead, 2)
-	g.SetHooks(net.WindowStart, net.WindowEnd, net.StageHandoffs, net.EarliestHandoff)
-	// Stop mid-flight so hand-offs are still on the wire, then quiesce.
-	g.RunUntil(500 * time.Microsecond)
-	net.Quiesce()
-	net.Quiesce() // idempotent
-	// Remaining outstanding buffers are deliveries pending inside domain
-	// schedulers (same as a serial run cut mid-flight); drain them.
+	g.SetBarrier(net.ExchangeHandoffs)
+	g.RunUntil(cut)
+	if got := net.PoolOutstanding(); got != want {
+		t.Fatalf("PoolOutstanding at %v = %d, serial pool holds %d", cut, got, want)
+	}
 	g.Run()
-	net.Quiesce()
-	if out := net.Pool().Outstanding(); out != 0 {
-		t.Fatalf("base pool outstanding %d after drain+quiesce, want 0", out)
+	if net.Handoffs() == 0 {
+		t.Fatal("no cross-domain hand-offs — the partition is not being exercised")
 	}
 	for i, d := range net.doms {
 		if out := d.pool.Outstanding(); out != 0 {
-			t.Fatalf("domain %d pool outstanding %d after drain+quiesce, want 0", i, out)
+			t.Fatalf("domain %d pool outstanding %d after Run, want 0", i, out)
+		}
+	}
+}
+
+// TestHandoffPrecedesSameKeyGlobalWork pins where the exchange sits in the
+// barrier. b (domain 0) transmits at 10 ms, so its frame reaches c (domain
+// 1) at key (11 ms, 10 ms). A global event at 10 ms schedules a read of c's
+// CPU backlog at the same key. A serial scheduler queued the delivery when
+// b transmitted, before the global ran, so the delivery fires first and the
+// read sees its 100 µs of per-byte work; a partitioned run must agree.
+func TestHandoffPrecedesSameKeyGlobalWork(t *testing.T) {
+	build := func() (*sim.Scheduler, *Network, *Node, *Node) {
+		s := sim.NewScheduler(1)
+		net := New(s)
+		b := net.AddNode(NodeConfig{Name: "b", ProcDelay: 6 * time.Millisecond})
+		c := net.AddNode(NodeConfig{Name: "c", ProcPerByte: time.Microsecond})
+		net.Connect(b, c, LinkConfig{Delay: time.Millisecond})
+		return s, net, b, c
+	}
+	send := func(b *Node) {
+		b.Scheduler().At(4*time.Millisecond, func() { b.Send(0, make([]byte, 100)) })
+	}
+
+	s, _, b, c := build()
+	send(b)
+	s.RunUntil(5 * time.Millisecond)
+	var serial time.Duration
+	s.At(10*time.Millisecond, func() {
+		s.At(11*time.Millisecond, func() { serial = c.ProcBacklog() })
+	})
+	s.Run()
+	if serial != 100*time.Microsecond {
+		t.Fatalf("serial backlog %v, want 100µs (delivery before the read)", serial)
+	}
+
+	for _, workers := range []int{1, 2} {
+		s0, net, b, c := build()
+		scheds := []*sim.Scheduler{s0, sim.NewScheduler(2)}
+		lookahead, err := net.SetDomains([]int{0, 1}, scheds)
+		if err != nil {
+			t.Fatalf("SetDomains: %v", err)
+		}
+		send(b)
+		g := sim.NewGroup(scheds, lookahead, workers)
+		g.SetBarrier(net.ExchangeHandoffs)
+		g.RunUntil(5 * time.Millisecond)
+		var got time.Duration
+		g.Schedule(10*time.Millisecond, 5*time.Millisecond, func() {
+			c.Scheduler().At(11*time.Millisecond, func() { got = c.ProcBacklog() })
+		})
+		g.Run()
+		if got != serial {
+			t.Fatalf("workers=%d: backlog read %v, serial read %v", workers, got, serial)
 		}
 	}
 }

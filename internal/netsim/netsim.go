@@ -36,7 +36,8 @@ type FrameTap func(from, to *Node, data []byte)
 
 // Network is a collection of nodes and links sharing one scheduler, or —
 // after SetDomains — partitioned across several per-domain schedulers that
-// a sim.Group advances in conservative parallel windows.
+// a sim.Group advances in conservative parallel windows, with
+// ExchangeHandoffs moving cross-domain frames at each barrier.
 type Network struct {
 	sched *sim.Scheduler
 	nodes []*Node
@@ -47,6 +48,8 @@ type Network struct {
 
 	base *domainRT   // the single domain every node starts in
 	doms []*domainRT // non-nil once SetDomains has partitioned the fabric
+
+	exchange []handoff // ExchangeHandoffs scratch, reused per barrier
 }
 
 // New returns an empty network driven by the given scheduler.
@@ -414,8 +417,8 @@ func (l *Link) serialization(size int) time.Duration {
 // The whole path runs in the sending node's domain: each direction's
 // transmitter state (txFree, backlog, stats) is touched only by that side's
 // domain, so the two directions of a cross-domain link never race. Delivery
-// to a node in another domain goes through the timestamped hand-off inbox
-// instead of a direct scheduler insertion.
+// to a node in another domain goes into the sender's hand-off outbox, which
+// the next barrier exchanges, instead of a direct scheduler insertion.
 func (l *Link) transmit(side int, fb *frame.Buf) {
 	sd := l.ends[side].node.dom
 	s := sd.sched

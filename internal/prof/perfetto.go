@@ -19,7 +19,7 @@ import (
 //   - Cross-domain hand-offs become flow arrows: an "s" event anchored in
 //     the source domain's slice, bound ("f" with bp:"e") into the
 //     destination domain's slice in the next recorded window — the window
-//     in which the staged frames are merged and delivered.
+//     in which the frames exchanged at the barrier are delivered.
 //
 // Timestamps are microseconds (the trace-event unit) measured from the
 // profiler's wall epoch. Load the output at https://ui.perfetto.dev or
@@ -70,9 +70,8 @@ func WriteTrace(w io.Writer, p *Profile) error {
 		win := &p.Windows[i]
 		for d := range win.Domains {
 			wd := &win.Domains[d]
-			busy := wd.MergeNs + wd.ExecNs + wd.FlushNs
-			start := wd.DoneNs - busy
-			dur := us(busy)
+			start := wd.DoneNs - wd.ExecNs
+			dur := us(wd.ExecNs)
 			evs = append(evs, traceEvent{
 				Name: "window", Cat: "window", Ph: "X",
 				TS: us(start), Dur: &dur, Pid: tracePid, Tid: d,
@@ -81,9 +80,7 @@ func WriteTrace(w io.Writer, p *Profile) error {
 					"virtual_ns": win.BoundAtNs,
 					"global":     win.Global,
 					"events":     wd.Events,
-					"merge_ns":   wd.MergeNs,
 					"exec_ns":    wd.ExecNs,
-					"flush_ns":   wd.FlushNs,
 					"stall_ns":   wd.StallNs,
 				},
 			})
@@ -102,7 +99,7 @@ func WriteTrace(w io.Writer, p *Profile) error {
 			})
 		}
 		// Flow arrows bind into the next recorded window, where the frames
-		// handed off here are merged and delivered. A ring gap (evicted
+		// handed off here, exchanged at the barrier between, are delivered. A ring gap (evicted
 		// window) breaks the chain, so require consecutive seqs.
 		if len(win.Flows) != p.Domains*p.Domains || i+1 >= len(p.Windows) {
 			continue
@@ -120,7 +117,7 @@ func WriteTrace(w io.Writer, p *Profile) error {
 				}
 				flowID++
 				nd := &next.Domains[d]
-				nstart := nd.DoneNs - (nd.MergeNs + nd.ExecNs + nd.FlushNs)
+				nstart := nd.DoneNs - nd.ExecNs
 				evs = append(evs,
 					traceEvent{Name: "handoff", Cat: "handoff", Ph: "s", ID: flowID,
 						TS: us(srcDone), Pid: tracePid, Tid: s,

@@ -58,7 +58,10 @@ type CriticalPath struct {
 // DomainTotal is one domain's cumulative window accounting. The *_ns
 // fields are wall clock; Domain and Events are deterministic.
 type DomainTotal struct {
-	Domain  int    `json:"domain"`
+	Domain int `json:"domain"`
+	// MergeNs and FlushNs are always 0: the hand-off exchange is
+	// coordinator work, counted in BarrierNs. They stay in the schema only
+	// because perfbench reads them.
 	MergeNs int64  `json:"merge_ns"`
 	ExecNs  int64  `json:"exec_ns"`
 	FlushNs int64  `json:"flush_ns"`
@@ -68,9 +71,7 @@ type DomainTotal struct {
 
 // WindowDomain is one domain's share of one window.
 type WindowDomain struct {
-	MergeNs int64  `json:"merge_ns"`
 	ExecNs  int64  `json:"exec_ns"`
-	FlushNs int64  `json:"flush_ns"`
 	StallNs int64  `json:"stall_ns"`
 	DoneNs  int64  `json:"done_ns"`
 	Events  uint64 `json:"events"`

@@ -35,9 +35,9 @@ func sampleProfile() *Profile {
 			},
 		},
 		DomainTotals: []DomainTotal{
-			{Domain: 0, MergeNs: 2000, ExecNs: 30000, FlushNs: 1000, StallNs: 3000, Events: 60},
-			{Domain: 1, MergeNs: 1000, ExecNs: 20000, FlushNs: 1000, StallNs: 14000, Events: 40},
-			{Domain: 2, MergeNs: 1000, ExecNs: 10000, FlushNs: 1000, StallNs: 24000, Events: 20},
+			{Domain: 0, ExecNs: 30000, StallNs: 3000, Events: 60},
+			{Domain: 1, ExecNs: 20000, StallNs: 14000, Events: 40},
+			{Domain: 2, ExecNs: 10000, StallNs: 24000, Events: 20},
 		},
 		HandoffMatrix: []uint64{0, 2, 0, 1, 0, 0, 0, 1, 0},
 		WindowsRun:    2,
@@ -49,18 +49,18 @@ func sampleProfile() *Profile {
 			{
 				Seq: 0, BoundAtNs: 1_000_000, StartNs: 0, EndNs: 36000, BarrierNs: 2000,
 				Domains: []WindowDomain{
-					{MergeNs: 1000, ExecNs: 15000, FlushNs: 500, StallNs: 1500, DoneNs: 34500, Events: 30},
-					{MergeNs: 500, ExecNs: 10000, FlushNs: 500, StallNs: 7000, DoneNs: 29000, Events: 20},
-					{MergeNs: 500, ExecNs: 5000, FlushNs: 500, StallNs: 12000, DoneNs: 24000, Events: 10},
+					{ExecNs: 15000, StallNs: 1500, DoneNs: 34500, Events: 30},
+					{ExecNs: 10000, StallNs: 7000, DoneNs: 29000, Events: 20},
+					{ExecNs: 5000, StallNs: 12000, DoneNs: 24000, Events: 10},
 				},
 				Flows: []uint64{0, 2, 0, 0, 0, 0, 0, 0, 0},
 			},
 			{
 				Seq: 1, BoundAtNs: 2_000_000, StartNs: 38000, EndNs: 74000, BarrierNs: 2000,
 				Domains: []WindowDomain{
-					{MergeNs: 1000, ExecNs: 15000, FlushNs: 500, StallNs: 1500, DoneNs: 72500, Events: 30},
-					{MergeNs: 500, ExecNs: 10000, FlushNs: 500, StallNs: 7000, DoneNs: 67000, Events: 20},
-					{MergeNs: 500, ExecNs: 5000, FlushNs: 500, StallNs: 12000, DoneNs: 62000, Events: 10},
+					{ExecNs: 15000, StallNs: 1500, DoneNs: 72500, Events: 30},
+					{ExecNs: 10000, StallNs: 7000, DoneNs: 67000, Events: 20},
+					{ExecNs: 5000, StallNs: 12000, DoneNs: 62000, Events: 10},
 				},
 				Flows: []uint64{0, 0, 0, 1, 0, 0, 0, 1, 0},
 			},

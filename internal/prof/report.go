@@ -48,11 +48,11 @@ func Report(w io.Writer, p *Profile) error {
 			bw.printf(", oldest %d evicted from the ring", p.WindowsDropped)
 		}
 		bw.printf(")\n")
-		bw.printf("  %-6s %10s %9s %10s %10s %10s %10s %6s %6s\n",
-			"domain", "events", "ev/win", "exec", "merge", "flush", "stall", "util%", "stall%")
+		bw.printf("  %-6s %10s %9s %10s %10s %6s %6s\n",
+			"domain", "events", "ev/win", "exec", "stall", "util%", "stall%")
 		for i := range p.DomainTotals {
 			d := &p.DomainTotals[i]
-			span := d.MergeNs + d.ExecNs + d.FlushNs + d.StallNs
+			span := d.ExecNs + d.StallNs
 			util, stall := 0.0, 0.0
 			if span > 0 {
 				util = 100 * float64(d.ExecNs) / float64(span)
@@ -62,11 +62,9 @@ func Report(w io.Writer, p *Profile) error {
 			if p.WindowsRun > 0 {
 				perWin = float64(d.Events) / float64(p.WindowsRun)
 			}
-			bw.printf("  %-6d %10d %9.1f %10v %10v %10v %10v %6.1f %6.1f\n",
+			bw.printf("  %-6d %10d %9.1f %10v %10v %6.1f %6.1f\n",
 				d.Domain, d.Events, perWin,
 				time.Duration(d.ExecNs).Round(time.Microsecond),
-				time.Duration(d.MergeNs).Round(time.Microsecond),
-				time.Duration(d.FlushNs).Round(time.Microsecond),
 				time.Duration(d.StallNs).Round(time.Microsecond),
 				util, stall)
 		}

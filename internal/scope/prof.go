@@ -37,10 +37,10 @@ func IsProfFile(path string) bool {
 }
 
 // domainFractions returns each domain's utilization and stall share of its
-// window span (merge+exec+flush+stall). Wall-derived; compare with an
-// absolute tolerance only.
+// window span (exec+stall). Wall-derived; compare with an absolute
+// tolerance only.
 func domainFractions(d *prof.DomainTotal) (util, stall float64) {
-	span := d.MergeNs + d.ExecNs + d.FlushNs + d.StallNs
+	span := d.ExecNs + d.StallNs
 	if span <= 0 {
 		return 0, 0
 	}

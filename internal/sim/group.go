@@ -17,9 +17,9 @@ import (
 //   - The Group repeatedly picks a window edge no further than Lookahead
 //     past the earliest pending work, runs every domain's events strictly
 //     below that edge in parallel, and then rendezvous at a barrier where
-//     hand-offs produced during the window are exchanged (the WindowStart /
-//     WindowEnd hooks) and deferred observations are replayed (the Barrier
-//     hook).
+//     the barrier hook, with every worker parked, exchanges the hand-offs
+//     produced during the window into their destination schedulers and
+//     replays deferred observations.
 //   - Global events — callbacks that read or mutate state spanning domains,
 //     such as telemetry samplers and scripted fault injection — run at the
 //     barrier, single-threaded, positioned in the event order by their
@@ -37,10 +37,7 @@ type Group struct {
 	workers   int
 	now       time.Duration
 
-	windowStart func(domain int)             // worker context, before the window runs
-	windowEnd   func(domain int)             // worker context, after the window runs
-	barrier     func()                       // coordinator context, after every barrier
-	extEarliest func() (time.Duration, bool) // earliest undelivered hand-off
+	barrier func() // coordinator context, after every window
 
 	mu      sync.Mutex // guards globals (Schedule may be called from hooks)
 	globals []*globalEvent
@@ -87,17 +84,12 @@ func NewGroup(scheds []*Scheduler, lookahead time.Duration, workers int) *Group 
 	return &Group{scheds: scheds, lookahead: lookahead, workers: workers}
 }
 
-// SetHooks installs the per-window callbacks. windowStart and windowEnd run
-// in worker context (one invocation per domain per window, concurrently
-// across domains); barrier runs on the coordinator with all workers parked.
-// extEarliest reports the earliest pending hand-off not yet inserted into
-// any scheduler, so idle windows can be skipped without missing work.
-func (g *Group) SetHooks(windowStart, windowEnd func(domain int), barrier func(), extEarliest func() (time.Duration, bool)) {
-	g.windowStart = windowStart
-	g.windowEnd = windowEnd
-	g.barrier = barrier
-	g.extEarliest = extEarliest
-}
+// SetBarrier installs the barrier hook. It runs on the coordinator with all
+// workers parked, after every window and before any global event at that
+// barrier fires. It must leave every hand-off of the closed window queued in
+// its destination scheduler: the Group finds pending work, and skips idle
+// stretches, by reading the scheduler heaps alone.
+func (g *Group) SetBarrier(fn func()) { g.barrier = fn }
 
 // Now returns the Group's clock: the edge of the last completed window.
 func (g *Group) Now() time.Duration { return g.now }
@@ -194,19 +186,15 @@ func (g *Group) removeGlobal(ge *globalEvent) {
 	g.mu.Unlock()
 }
 
-// earliestWork returns the smallest timestamp of any pending domain event
-// or undelivered hand-off, or ok=false when the whole fabric is idle.
+// earliestWork returns the smallest timestamp of any pending domain event,
+// or ok=false when the whole fabric is idle. The barrier hook has queued
+// every hand-off by the time this runs, so the heaps are the whole story.
 func (g *Group) earliestWork() (time.Duration, bool) {
 	var best time.Duration
 	ok := false
 	for _, s := range g.scheds {
 		if k, has := s.NextKey(); has && (!ok || k.At < best) {
 			best, ok = k.At, true
-		}
-	}
-	if g.extEarliest != nil {
-		if t, has := g.extEarliest(); has && (!ok || t < best) {
-			best, ok = t, true
 		}
 	}
 	return best, ok
@@ -220,9 +208,8 @@ func (g *Group) EnableProfile(p *GroupProf) { g.prof = p }
 // Profile returns the attached window profiler, nil when detached.
 func (g *Group) Profile() *GroupProf { return g.prof }
 
-// runWindow executes one parallel phase: every domain drains its inbox
-// (WindowStart), runs events with keys strictly below bound, and flushes
-// its outboxes (WindowEnd). The call returns after all domains finish.
+// runWindow executes one parallel phase: every domain runs its events with
+// keys strictly below bound. The call returns after all domains finish.
 func (g *Group) runWindow(bound Key) {
 	gp := g.prof
 	if gp != nil {
@@ -230,31 +217,16 @@ func (g *Group) runWindow(bound Key) {
 	}
 	run := func(d int) {
 		if gp != nil {
-			// Profiled path: bracket the three window phases with wall
-			// reads. Each domain's worker writes only its own slot, and the
-			// coordinator closes the window after the WaitGroup, so the
-			// accounting is race-free by the same discipline as the window
-			// protocol itself.
+			// Profiled path: bracket the execution with wall reads. Each
+			// domain's worker writes only its own slot, and the coordinator
+			// closes the window after the WaitGroup, so the accounting is
+			// race-free by the same discipline as the window protocol itself.
 			t0 := gp.wallNs()
-			if g.windowStart != nil {
-				g.windowStart(d)
-			}
-			t1 := gp.wallNs()
 			ran := g.scheds[d].RunToKey(bound)
-			t2 := gp.wallNs()
-			if g.windowEnd != nil {
-				g.windowEnd(d)
-			}
-			gp.noteDomain(d, t0, t1, t2, gp.wallNs(), ran)
+			gp.noteDomain(d, t0, gp.wallNs(), ran)
 			return
 		}
-		if g.windowStart != nil {
-			g.windowStart(d)
-		}
 		g.scheds[d].RunToKey(bound)
-		if g.windowEnd != nil {
-			g.windowEnd(d)
-		}
 	}
 	if g.workers == 1 || len(g.scheds) == 1 {
 		for d := range g.scheds {
@@ -308,8 +280,8 @@ func (g *Group) RunUntil(deadline time.Duration) {
 		if edge > deadline {
 			// Final window, in two phases: everything strictly before the
 			// deadline, a barrier so hand-offs landing exactly at the
-			// deadline are exchanged, then the events at the deadline
-			// itself (whose own hand-offs arrive strictly beyond it).
+			// deadline are queued, then the events at the deadline itself
+			// (whose own hand-offs arrive strictly beyond it).
 			g.runWindow(Key{At: deadline, Birth: KeyMin})
 			g.advance(deadline)
 			g.syncBarrier()
@@ -325,8 +297,8 @@ func (g *Group) RunUntil(deadline time.Duration) {
 	g.syncBarrier()
 }
 
-// Run advances the group until every domain is idle and no hand-offs or
-// global events remain — the parallel analogue of Scheduler.Run.
+// Run advances the group until every domain is idle and no global events
+// remain — the parallel analogue of Scheduler.Run.
 func (g *Group) Run() {
 	for {
 		base, busy := g.earliestWork()

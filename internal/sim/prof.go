@@ -13,9 +13,10 @@ import "time"
 //     in fewer steps than the longest causal chain, so
 //     fired / maxDepth is the scenario's ideal speedup.
 //   - GroupProf attaches to a Group and accounts wall-clock time per domain
-//     per window: hand-off merge (WindowStart), event execution (RunToKey),
-//     outbox flush (WindowEnd), and barrier stall (the gap between a domain
-//     finishing its window and the window's slowest domain finishing).
+//     per window: event execution (RunToKey) and barrier stall (the gap
+//     between a domain finishing its window and the window's slowest domain
+//     finishing), plus the coordinator's barrier time, hand-off exchange
+//     included.
 //
 // Both are strictly passive and nil-gated on the hot paths: a detached
 // scheduler or group pays a single pointer test and allocates nothing
@@ -129,18 +130,14 @@ func (p *SchedProf) Edges(dst []ProfEdge) []ProfEdge {
 
 // ProfDomainTotals is one domain's cumulative window accounting.
 type ProfDomainTotals struct {
-	MergeNs int64  // WindowStart: draining and merging staged hand-offs
 	ExecNs  int64  // RunToKey: executing the domain's events
-	FlushNs int64  // WindowEnd: flushing outbox batches
 	StallNs int64  // waiting for the window's slowest domain
 	Events  uint64 // events executed inside windows
 }
 
 // ProfWindowDomain is one domain's share of one window.
 type ProfWindowDomain struct {
-	MergeNs int64
 	ExecNs  int64
-	FlushNs int64
 	StallNs int64
 	DoneNs  int64 // wall offset (from the profiler epoch) the domain finished at
 	Events  uint64
@@ -256,15 +253,13 @@ func (p *GroupProf) beginWindow(bound Key) {
 	p.cur = w
 }
 
-// noteDomain records domain d's window phases: t0..t3 bracket merge
-// (WindowStart), execution (RunToKey) and flush (WindowEnd); ran is the
-// event count. Called by d's worker — each domain writes a distinct slot.
-func (p *GroupProf) noteDomain(d int, t0, t1, t2, t3 int64, ran int) {
+// noteDomain records domain d's window execution: t0..t1 bracket RunToKey
+// and ran is the event count. Called by d's worker — each domain writes a
+// distinct slot.
+func (p *GroupProf) noteDomain(d int, t0, t1 int64, ran int) {
 	wd := &p.cur.Domains[d]
-	wd.MergeNs = t1 - t0
-	wd.ExecNs = t2 - t1
-	wd.FlushNs = t3 - t2
-	wd.DoneNs = t3
+	wd.ExecNs = t1 - t0
+	wd.DoneNs = t1
 	wd.Events = uint64(ran)
 }
 
@@ -281,9 +276,7 @@ func (p *GroupProf) endWindow() {
 		wd := &w.Domains[d]
 		wd.StallNs = end - wd.DoneNs
 		tt := &p.totals[d]
-		tt.MergeNs += wd.MergeNs
 		tt.ExecNs += wd.ExecNs
-		tt.FlushNs += wd.FlushNs
 		tt.StallNs += wd.StallNs
 		tt.Events += wd.Events
 	}
@@ -297,7 +290,7 @@ func (p *GroupProf) endWindow() {
 	p.last = w
 }
 
-// noteBarrier accounts coordinator barrier time (hand-off staging plus
+// noteBarrier accounts coordinator barrier time (hand-off exchange plus
 // observation replay), attributing it to the window it sealed. Barriers can
 // run without a preceding window (the final deadline alignment), hence the
 // nil guard.

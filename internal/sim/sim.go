@@ -125,8 +125,8 @@ func (s *Scheduler) At(t time.Duration, fn func()) Event {
 
 // AtBirth schedules fn at absolute virtual time t with an explicit birth
 // time: the virtual instant the event was (logically) created. At uses the
-// current clock; cross-scheduler merges (see Group and the netsim domain
-// inboxes) pass the birth recorded in the source domain, so an injected
+// current clock; cross-scheduler merges (see Group and the netsim hand-off
+// exchange) pass the birth recorded in the source domain, so an injected
 // event sorts exactly where the serial scheduler would have placed it.
 // birth must not exceed t, and t must not precede the clock.
 //
@@ -174,7 +174,7 @@ func (s *Scheduler) AtBirth(t, birth time.Duration, fn func()) Event {
 
 // AtBirthFrom schedules like AtBirth but carries an explicit causal depth
 // for the scheduling parent: cross-scheduler hand-off merges (see the
-// netsim domain inboxes) pass the depth recorded in the source domain, so
+// netsim hand-off exchange) pass the depth recorded in the source domain, so
 // the critical-path profiler sees the same parent→child chain a single
 // serial scheduler would have recorded. Without a profiler attached the
 // depth is ignored entirely.

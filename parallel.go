@@ -5,6 +5,11 @@ package hydranet
 // window scheduler (internal/sim.Group), and this file supplies the facade
 // glue that keeps every observable byte-identical to the serial scheduler:
 //
+//   - One barrier hook. It first exchanges the closed window's cross-domain
+//     hand-offs into their destination schedulers (netsim's
+//     ExchangeHandoffs), then replays the spooled observations below; any
+//     global event at that barrier fires after both, so it sees the same
+//     pending deliveries a serial run would.
 //   - Per-domain bus views. Worker-context code (TCP stacks, redirectors,
 //     the fabric itself) emits on a private obs.Bus per domain whose
 //     subscription mask mirrors the real bus, so Enabled() answers — and
@@ -265,10 +270,10 @@ func (n *Net) Partition(groups [][]*Host, workers int) error {
 		cursors: make([]int, len(scheds)),
 	}
 	p.group = sim.NewGroup(scheds, lookahead, workers)
-	p.group.SetHooks(n.fab.WindowStart, n.fab.WindowEnd, func() {
-		n.fab.StageHandoffs()
+	p.group.SetBarrier(func() {
+		n.fab.ExchangeHandoffs()
 		p.barrier()
-	}, n.fab.EarliestHandoff)
+	})
 	n.par = p
 	p.refresh()
 	return nil
@@ -302,11 +307,11 @@ func (n *Net) EventsFired() uint64 {
 }
 
 // eventsPending counts queued simulation events: scheduler heaps plus, in a
-// partitioned run, global events and undelivered cross-domain hand-offs
-// (which a serial run would hold as scheduled deliveries).
+// partitioned run, global events. Cross-domain hand-offs are already queued
+// in their destination heaps by the barrier that precedes any reader.
 func (n *Net) eventsPending() int {
 	if n.par != nil {
-		return n.par.group.Pending() + n.fab.PendingHandoffs()
+		return n.par.group.Pending()
 	}
 	return n.sched.Pending()
 }
@@ -459,8 +464,9 @@ func (p *parallelRT) spoolEncap(d int, inner *ipv4.Packet, host Addr) {
 	})
 }
 
-// barrier is the sim.Group barrier hook: k-way merge the domain spools by
-// key and replay each observation at its original virtual instant. Equal
+// barrier is the second step of the sim.Group barrier hook, after the
+// hand-off exchange: k-way merge the domain spools by key and replay each
+// observation at its original virtual instant. Equal
 // keys from different domains replay in domain order — the same ambiguity
 // class netsim counts as merge ties; within a domain, spool order is
 // execution order and is preserved.

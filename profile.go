@@ -163,9 +163,7 @@ func (p *Profiler) Snapshot() *prof.Profile {
 		for i, t := range totals {
 			out.DomainTotals = append(out.DomainTotals, prof.DomainTotal{
 				Domain:  i,
-				MergeNs: t.MergeNs,
 				ExecNs:  t.ExecNs,
-				FlushNs: t.FlushNs,
 				StallNs: t.StallNs,
 				Events:  t.Events,
 			})
@@ -190,9 +188,7 @@ func (p *Profiler) Snapshot() *prof.Profile {
 			}
 			for d, wd := range w.Domains {
 				win.Domains[d] = prof.WindowDomain{
-					MergeNs: wd.MergeNs,
 					ExecNs:  wd.ExecNs,
-					FlushNs: wd.FlushNs,
 					StallNs: wd.StallNs,
 					DoneNs:  wd.DoneNs,
 					Events:  wd.Events,
