@@ -119,7 +119,7 @@ type Net struct {
 	frameTaps []netsim.FrameTap
 	encapTaps []redirector.EncapTap
 
-	// par is non-nil once SetWorkers/Partition has split the fabric into
+	// par is non-nil once SetWorkers has split the fabric into
 	// synchronization domains; see parallel.go.
 	par *parallelRT
 
@@ -168,7 +168,7 @@ func (n *Net) Now() time.Duration {
 // Run executes events until the network goes idle.
 func (n *Net) Run() {
 	if n.par != nil {
-		n.par.run()
+		n.par.ready().Run()
 		return
 	}
 	n.sched.Run()
@@ -177,7 +177,8 @@ func (n *Net) Run() {
 // RunFor advances virtual time by d.
 func (n *Net) RunFor(d time.Duration) {
 	if n.par != nil {
-		n.par.runUntil(n.par.group.Now() + d)
+		g := n.par.ready()
+		g.RunUntil(g.Now() + d)
 		return
 	}
 	n.sched.RunUntil(n.sched.Now() + d)
@@ -186,7 +187,7 @@ func (n *Net) RunFor(d time.Duration) {
 // RunUntil advances virtual time to the absolute instant t.
 func (n *Net) RunUntil(t time.Duration) {
 	if n.par != nil {
-		n.par.runUntil(t)
+		n.par.ready().RunUntil(t)
 		return
 	}
 	n.sched.RunUntil(t)
@@ -194,21 +195,9 @@ func (n *Net) RunUntil(t time.Duration) {
 
 // Scheduler exposes the base event scheduler. In a partitioned run this is
 // domain 0's scheduler; scripted cross-host events (failure injection)
-// should use Net.At, and per-host traffic pacing should use
+// should run between RunUntil steps, and per-host traffic pacing should use
 // Host.Scheduler, both of which stay correct under any worker count.
 func (n *Net) Scheduler() *sim.Scheduler { return n.sched }
-
-// At schedules fn at absolute virtual time t. In a partitioned run fn
-// becomes a global event: it runs at a window barrier with all workers
-// parked, positioned in the event order exactly where the serial scheduler
-// would have run it, so it may safely touch any host.
-func (n *Net) At(t time.Duration, fn func()) {
-	if n.par != nil {
-		n.par.at(t, fn)
-		return
-	}
-	n.sched.At(t, fn)
-}
 
 // Host is a simulated machine: IP, UDP and TCP stacks, HydraNet host-server
 // support, the ft-TCP engine, and a management daemon.

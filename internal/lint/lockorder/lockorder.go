@@ -1,13 +1,14 @@
-// Package lockorder proves deadlock-freedom properties of the parallel
-// core's locking discipline. The conservative parallel engine (DESIGN.md
-// §10) synchronizes through exactly two mechanisms — the group
-// scheduler's mutex and coordinator barriers (sync.WaitGroup), at which the
-// coordinator also exchanges cross-domain hand-offs with every worker
-// parked — and its liveness argument is a lock-order argument:
-// no worker ever holds a lock while waiting on another domain. That
-// argument is invisible to the compiler and to the race detector (which
-// only sees schedules that actually happened). This analyzer checks it
-// statically.
+// Package lockorder proves deadlock-freedom properties of the tree's
+// locking discipline. The conservative parallel engine (DESIGN.md §10)
+// holds no mutex: it synchronizes through coordinator barriers
+// (sync.WaitGroup) alone, at which the coordinator exchanges cross-domain
+// hand-offs and runs global events with every worker parked. Its liveness
+// argument is a lock-order argument — no code ever holds a lock while
+// waiting on another domain — and it must keep holding for any mutex that
+// code reachable from a window takes (today the trace package's
+// trace.Tracer.mu). That argument is invisible to the compiler and to the
+// race detector (which only sees schedules that actually happened). This
+// analyzer checks it statically.
 //
 // For every function it runs a may-analysis over the control-flow graph
 // (internal/lint/ir) tracking the set of mutexes that can be held at each
@@ -33,8 +34,8 @@
 //     recursive locking; this self-deadlocks at run time).
 //
 // Lock identity is two-level. The *class* — package.Type.fieldPath, e.g.
-// sim.Group.mu — names a lock in the acquisition-order graph; the
-// *instance* — the rendered receiver text, e.g. g.mu — detects
+// trace.Tracer.mu — names a lock in the acquisition-order graph; the
+// *instance* — the rendered receiver text, e.g. t.mu — detects
 // double-locking of one object. Function literals are analyzed as
 // independent functions with an empty initial lock set, and their
 // acquisitions do not count toward the enclosing function's summary: a
@@ -366,7 +367,7 @@ func (a *analysis) mutexOp(call *ast.CallExpr) (class, key string, acquires, ok 
 }
 
 // lockClass names the lock for the acquisition-order graph: the owning
-// named type plus the field path to the mutex (sim.Group.mu),
+// named type plus the field path to the mutex (trace.Tracer.mu),
 // or package.name for a bare mutex variable.
 func (a *analysis) lockClass(mutexExpr ast.Expr) string {
 	var fields []string

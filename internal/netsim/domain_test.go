@@ -311,7 +311,7 @@ func TestHandoffPrecedesSameKeyGlobalWork(t *testing.T) {
 		g.SetBarrier(net.ExchangeHandoffs)
 		g.RunUntil(5 * time.Millisecond)
 		var got time.Duration
-		g.Schedule(10*time.Millisecond, 5*time.Millisecond, func() {
+		g.Coordinator().At(10*time.Millisecond, func() {
 			c.Scheduler().At(11*time.Millisecond, func() { got = c.ProcBacklog() })
 		})
 		g.Run()

@@ -21,48 +21,28 @@ import (
 //     produced during the window into their destination schedulers and
 //     replays deferred observations.
 //   - Global events — callbacks that read or mutate state spanning domains,
-//     such as telemetry samplers and scripted fault injection — run at the
-//     barrier, single-threaded, positioned in the event order by their
-//     (time, birth) key exactly where a single serial scheduler would have
-//     run them.
+//     such as telemetry samplers — are ordinary events on one more
+//     Scheduler, the coordinator. A coordinator event closes the window at
+//     its (time, birth) key and fires at that barrier, single-threaded,
+//     exactly where a single serial scheduler would have run it.
 //
 // Within one window no domain can observe another (hand-offs sent during
 // the window arrive at or after its edge), so the parallel execution is
 // order-equivalent to the serial one per domain; the (time, birth) keys
 // restore the cross-domain interleaving wherever it is observable. The
 // result does not depend on the worker count, only on the partition.
+// Workers and the coordinator never run at once, so the Group holds no
+// lock: the window's WaitGroup is the only synchronization.
 type Group struct {
 	scheds    []*Scheduler
+	coord     *Scheduler // global events; its clock is the Group's clock
 	lookahead time.Duration
 	workers   int
-	now       time.Duration
+	inWindow  bool // a window is executing on the workers
 
 	barrier func() // coordinator context, after every window
 
-	mu      sync.Mutex // guards globals (Schedule may be called from hooks)
-	globals []*globalEvent
-	gseq    uint64
-	gfired  uint64 // executed global events (coordinator-only access)
-
 	prof *GroupProf // window/barrier profiler; nil (zero-cost) unless attached
-}
-
-// globalEvent is a barrier-scheduled callback with a cancellation flag.
-type globalEvent struct {
-	at, birth time.Duration
-	seq       uint64
-	fn        func()
-	cancelled bool
-}
-
-// GlobalEvent is a cancellable handle to a Group-scheduled callback.
-type GlobalEvent struct{ g *globalEvent }
-
-// Cancel prevents the callback from running. Safe on the zero handle.
-func (e GlobalEvent) Cancel() {
-	if e.g != nil {
-		e.g.cancelled = true
-	}
 }
 
 // NewGroup builds a Group over the given domain schedulers. lookahead must
@@ -81,7 +61,7 @@ func NewGroup(scheds []*Scheduler, lookahead time.Duration, workers int) *Group 
 	if workers > len(scheds) {
 		workers = len(scheds)
 	}
-	return &Group{scheds: scheds, lookahead: lookahead, workers: workers}
+	return &Group{scheds: scheds, coord: NewScheduler(0), lookahead: lookahead, workers: workers}
 }
 
 // SetBarrier installs the barrier hook. It runs on the coordinator with all
@@ -91,8 +71,22 @@ func NewGroup(scheds []*Scheduler, lookahead time.Duration, workers int) *Group 
 // stretches, by reading the scheduler heaps alone.
 func (g *Group) SetBarrier(fn func()) { g.barrier = fn }
 
+// Coordinator returns the scheduler of global events. An event scheduled
+// on it runs at a barrier, with every worker parked, after every domain
+// event whose key is strictly below its (at, birth) and before every event
+// at or beyond it: exactly where a serial scheduler would have run it. Its
+// clock is the Group's, so At and After stamp the birth a serial run would.
+// Only coordinator context (setup code between runs, a barrier hook, or
+// another global event) may schedule on it.
+func (g *Group) Coordinator() *Scheduler { return g.coord }
+
 // Now returns the Group's clock: the edge of the last completed window.
-func (g *Group) Now() time.Duration { return g.now }
+func (g *Group) Now() time.Duration { return g.coord.Now() }
+
+// InWindow reports whether a window is executing on the workers. Outside
+// a window (barrier hooks, global events, code between runs) the caller is
+// the coordinator and every worker is parked.
+func (g *Group) InWindow() bool { return g.inWindow }
 
 // Lookahead returns the window bound.
 func (g *Group) Lookahead() time.Duration { return g.lookahead }
@@ -100,90 +94,22 @@ func (g *Group) Lookahead() time.Duration { return g.lookahead }
 // Workers returns the number of worker goroutines windows fan out across.
 func (g *Group) Workers() int { return g.workers }
 
-// Fired sums executed events across all domains, plus executed global
-// events (a serial scheduler would count those as ordinary heap events).
+// Fired sums executed events across all domains and the coordinator.
 func (g *Group) Fired() uint64 {
-	n := g.gfired
+	n := g.coord.Fired()
 	for _, s := range g.scheds {
 		n += s.Fired()
 	}
 	return n
 }
 
-// Pending sums live queued events across all domains, plus live global
-// events (a serial scheduler would count those as ordinary heap entries).
+// Pending sums live queued events across all domains and the coordinator.
 func (g *Group) Pending() int {
-	n := 0
+	n := g.coord.Pending()
 	for _, s := range g.scheds {
 		n += s.Pending()
 	}
-	g.mu.Lock()
-	for _, ge := range g.globals {
-		if !ge.cancelled {
-			n++
-		}
-	}
-	g.mu.Unlock()
 	return n
-}
-
-// Schedule registers fn to run at the barrier crossing virtual time at,
-// ordered among simulation events by (at, birth): fn runs after every
-// domain event whose key is strictly below (at, birth) and before every
-// event at or beyond it, exactly where a serial scheduler would have run an
-// event inserted at virtual time birth. Only coordinator context (setup
-// code between runs, or another global callback) may call Schedule.
-func (g *Group) Schedule(at, birth time.Duration, fn func()) GlobalEvent {
-	if at < g.now {
-		panic(fmt.Sprintf("sim: scheduling global event at %v before now %v", at, g.now))
-	}
-	if birth > at {
-		birth = at
-	}
-	g.mu.Lock()
-	ge := &globalEvent{at: at, birth: birth, seq: g.gseq, fn: fn}
-	g.gseq++
-	g.globals = append(g.globals, ge)
-	g.mu.Unlock()
-	return GlobalEvent{g: ge}
-}
-
-// peekGlobal returns the earliest live global event, pruning cancelled ones.
-func (g *Group) peekGlobal() *globalEvent {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for {
-		var best *globalEvent
-		bi := -1
-		for i, ge := range g.globals {
-			if best == nil || ge.at < best.at ||
-				(ge.at == best.at && (ge.birth < best.birth ||
-					(ge.birth == best.birth && ge.seq < best.seq))) {
-				best, bi = ge, i
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		if best.cancelled {
-			g.globals[bi] = g.globals[len(g.globals)-1]
-			g.globals = g.globals[:len(g.globals)-1]
-			continue
-		}
-		return best
-	}
-}
-
-func (g *Group) removeGlobal(ge *globalEvent) {
-	g.mu.Lock()
-	for i, e := range g.globals {
-		if e == ge {
-			g.globals[i] = g.globals[len(g.globals)-1]
-			g.globals = g.globals[:len(g.globals)-1]
-			break
-		}
-	}
-	g.mu.Unlock()
 }
 
 // earliestWork returns the smallest timestamp of any pending domain event,
@@ -215,6 +141,7 @@ func (g *Group) runWindow(bound Key) {
 	if gp != nil {
 		gp.beginWindow(bound)
 	}
+	g.inWindow = true
 	run := func(d int) {
 		if gp != nil {
 			// Profiled path: bracket the execution with wall reads. Each
@@ -246,35 +173,44 @@ func (g *Group) runWindow(bound Key) {
 		}
 		wg.Wait()
 	}
+	g.inWindow = false
 	if gp != nil {
 		gp.endWindow()
 	}
 }
 
 // RunUntil advances the whole group to the absolute virtual instant
-// deadline: every domain event with timestamp <= deadline executes, every
-// clock ends at deadline. Equivalent to Scheduler.RunUntil on a single
-// serial scheduler.
+// deadline: every domain and coordinator event with timestamp <= deadline
+// executes, every clock ends at deadline. Equivalent to Scheduler.RunUntil
+// on a single serial scheduler.
 func (g *Group) RunUntil(deadline time.Duration) {
+	g.run(deadline)
+	g.advance(deadline)
+	g.syncBarrier()
+}
+
+// Run advances the group until every domain and the coordinator are idle —
+// the parallel analogue of Scheduler.Run.
+func (g *Group) Run() { g.run(KeyMax) }
+
+// run executes every event with timestamp <= deadline, window by window.
+func (g *Group) run(deadline time.Duration) {
 	for {
 		base, busy := g.earliestWork()
-		ge := g.peekGlobal()
-		if ge != nil && ge.at <= deadline && (!busy || ge.at < base+g.lookahead) {
+		if k, ok := g.coord.NextKey(); ok && k.At <= deadline && (!busy || k.At < base+g.lookahead) {
 			// The global event is the next window edge: run every domain
-			// strictly below its key, fire it at the barrier, continue.
-			bound := Key{At: ge.at, Birth: ge.birth}
-			g.runWindow(bound)
-			g.advance(ge.at)
+			// strictly below its key, then fire it at the barrier. The
+			// barrier hook may have cancelled it, so the head is re-read.
+			g.runWindow(k)
+			g.advance(k.At)
 			g.syncBarrier()
-			g.removeGlobal(ge)
-			if !ge.cancelled {
-				g.gfired++
-				ge.fn()
+			if next, ok := g.coord.NextKey(); ok && next == k {
+				g.coord.Step()
 			}
 			continue
 		}
 		if !busy || base > deadline {
-			break
+			return
 		}
 		edge := base + g.lookahead
 		if edge > deadline {
@@ -293,45 +229,13 @@ func (g *Group) RunUntil(deadline time.Duration) {
 		g.advance(edge)
 		g.syncBarrier()
 	}
-	g.advance(deadline)
-	g.syncBarrier()
 }
 
-// Run advances the group until every domain is idle and no global events
-// remain — the parallel analogue of Scheduler.Run.
-func (g *Group) Run() {
-	for {
-		base, busy := g.earliestWork()
-		ge := g.peekGlobal()
-		if !busy && ge == nil {
-			return
-		}
-		edge := base + g.lookahead
-		if ge != nil && (!busy || ge.at < edge) {
-			bound := Key{At: ge.at, Birth: ge.birth}
-			g.runWindow(bound)
-			g.advance(ge.at)
-			g.syncBarrier()
-			g.removeGlobal(ge)
-			if !ge.cancelled {
-				g.gfired++
-				ge.fn()
-			}
-			continue
-		}
-		g.runWindow(Key{At: edge, Birth: KeyMin})
-		g.advance(edge)
-		g.syncBarrier()
-	}
-}
-
-// advance aligns the group and every domain clock with t.
+// advance aligns the group clock, and with it every domain clock, with t.
 func (g *Group) advance(t time.Duration) {
-	if t > g.now {
-		g.now = t
-	}
+	g.coord.AdvanceTo(t)
 	for _, s := range g.scheds {
-		s.AdvanceTo(g.now)
+		s.AdvanceTo(g.coord.Now())
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"hydranet/internal/obs"
 	"hydranet/internal/sim"
 	"hydranet/internal/tcp"
 )
@@ -83,29 +82,4 @@ func (t *Tracer) TCPFunc(host string) tcp.TraceFunc {
 // AttachTCP wires the tracer to a TCP stack.
 func (t *Tracer) AttachTCP(host string, st *tcp.Stack) {
 	st.SetTrace(t.TCPFunc(host))
-}
-
-// AttachBus subscribes the tracer to an observability bus, rendering each
-// event as a trace line. With no kinds the tracer sees every event; the
-// tracer is then just one bus subscriber among many. Bus events honor
-// SetLimit exactly like Emit calls — dropped events count in Dropped, and
-// once the limit is hit the event is never rendered (Event.Text formats
-// lazily, after the limit check, so a capped tracer on a busy bus costs a
-// mutex round-trip and nothing more).
-func (t *Tracer) AttachBus(b *obs.Bus, kinds ...obs.Kind) {
-	b.Subscribe(t.emitEvent, kinds...)
-}
-
-// emitEvent renders one bus event, checking the line limit before any
-// formatting work happens.
-func (t *Tracer) emitEvent(e obs.Event) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.limit > 0 && t.count >= t.limit {
-		t.dropped++
-		return
-	}
-	t.count++
-	fmt.Fprintf(t.w, "%12s %-10s %s\n",
-		t.sched.Now().Round(time.Microsecond), e.Node, e.Text())
 }

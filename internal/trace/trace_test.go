@@ -9,7 +9,6 @@ import (
 
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
-	"hydranet/internal/obs"
 	"hydranet/internal/sim"
 	"hydranet/internal/tcp"
 )
@@ -95,61 +94,5 @@ func TestTracerSetLimitConcurrent(t *testing.T) {
 	wg.Wait()
 	if tr.Count()+tr.Dropped() != 4*200 {
 		t.Fatalf("Count+Dropped = %d, want %d", tr.Count()+tr.Dropped(), 4*200)
-	}
-}
-
-// TestTracerAttachBusHonorsLimit is the regression test for the AttachBus /
-// SetLimit interaction: bus-fed lines must count against the same limit as
-// Emit calls, suppressed bus events must show up in Dropped, and — because
-// Event.Text formats lazily, after the limit check — a capped tracer on a
-// busy bus must not allocate per event.
-func TestTracerAttachBusHonorsLimit(t *testing.T) {
-	sched := sim.NewScheduler(1)
-	var out strings.Builder
-	tr := New(&out, sched)
-	tr.SetLimit(2)
-	bus := obs.NewBus(sched.Now)
-	tr.AttachBus(bus)
-
-	tr.Emit("x", "direct line") // shares the budget with bus events
-	for i := 0; i < 5; i++ {
-		bus.Publish(obs.Event{Kind: obs.KindSuspicion, Node: "s1", Detail: "probe timeout"})
-	}
-	if tr.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", tr.Count())
-	}
-	if tr.Dropped() != 4 {
-		t.Fatalf("Dropped = %d, want 4 (bus events past the limit)", tr.Dropped())
-	}
-	if got := strings.Count(out.String(), "\n"); got != 2 {
-		t.Fatalf("emitted %d lines, want 2:\n%s", got, out.String())
-	}
-
-	// Over the limit, a published event must cost no allocations: the text
-	// is never formatted.
-	allocs := testing.AllocsPerRun(100, func() {
-		bus.Publish(obs.Event{Kind: obs.KindSuspicion, Node: "s1", Detail: "probe timeout"})
-	})
-	if allocs != 0 {
-		t.Fatalf("over-limit bus event allocates %v per run, want 0", allocs)
-	}
-}
-
-func TestTracerAttachBus(t *testing.T) {
-	sched := sim.NewScheduler(1)
-	var out strings.Builder
-	tr := New(&out, sched)
-	bus := obs.NewBus(sched.Now)
-	tr.AttachBus(bus, obs.KindPromotion)
-
-	bus.Publish(obs.Event{Kind: obs.KindPromotion, Node: "s1", Service: "10.0.0.1:80"})
-	bus.Publish(obs.Event{Kind: obs.KindRetransmit, Node: "s1"}) // not subscribed
-
-	text := out.String()
-	if !strings.Contains(text, "promotion") || !strings.Contains(text, "s1") {
-		t.Fatalf("bus event not rendered: %q", text)
-	}
-	if strings.Contains(text, "retransmit") {
-		t.Fatalf("unsubscribed kind rendered: %q", text)
 	}
 }

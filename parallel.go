@@ -23,10 +23,11 @@ package hydranet
 //     the barrier. Because pcap captures stamp records with Net.Now, and
 //     Net.Now follows the replay clock, captures of a partitioned run are
 //     byte-identical to serial ones.
-//   - Global events. Net.At, scripted fault injection and telemetry
-//     samplers become sim.Group global events: they run at barriers with
-//     all workers parked, positioned by (time, birth) exactly where the
-//     serial scheduler would have run them.
+//   - Global events. The telemetry sampler runs on the sim.Group's
+//     coordinator scheduler: its ticks fire at barriers with all workers
+//     parked, positioned by (time, birth) exactly where the serial
+//     scheduler would have run them, and publish directly like any other
+//     code outside a window.
 //
 // The partition is derived from the topology alone (SetWorkers cuts the
 // largest propagation-delay class), never from the worker count, so any
@@ -49,7 +50,7 @@ import (
 const maxLookahead = time.Hour
 
 // parallelRT is the facade's parallel runtime, attached to a Net by
-// SetWorkers/Partition.
+// SetWorkers.
 type parallelRT struct {
 	n      *Net
 	group  *sim.Group
@@ -63,21 +64,18 @@ type parallelRT struct {
 	tapped      bool // spoolFrame installed as the fabric tap
 	encapTapped bool // spoolEncap installed on every redirector
 
-	// Replay/coordinator context, only touched with all workers parked.
-	running   bool // inside group.Run/RunUntil
+	// Replay context, only touched with all workers parked.
 	replaying bool
 	replayNow time.Duration
-	inGlobal  bool
-	globalKey sim.Key
 }
 
-// direct reports whether an observation should bypass the spool: barrier
-// replay and global events are already at their merged position, and
-// coordinator-context emission between runs (Crash/Restart from test code)
-// happens with every prior observation drained, so publishing immediately
-// preserves the serial order — and cannot wait for a barrier that may never
-// come if the harness stops running.
-func (p *parallelRT) direct() bool { return p.inGlobal || p.replaying || !p.running }
+// direct reports whether an observation should bypass the spool: outside a
+// window the caller is the coordinator — barrier replay, a global event, or
+// code between runs (Crash/Restart from test code) — and every earlier
+// observation has been replayed, so publishing immediately preserves the
+// serial order and cannot wait for a barrier that may never come if the
+// harness stops running.
+func (p *parallelRT) direct() bool { return !p.group.InWindow() }
 
 // recKind discriminates spooled observation records.
 type recKind uint8
@@ -127,7 +125,7 @@ func (n *Net) SetWorkers(workers int) error {
 	if len(groups) <= 1 {
 		return nil
 	}
-	return n.Partition(groups, workers)
+	return n.partition(groups, workers)
 }
 
 // autoPartition groups hosts into synchronization domains by cutting every
@@ -187,12 +185,12 @@ func (n *Net) autoPartition() [][]*Host {
 	return groups
 }
 
-// Partition explicitly assigns hosts to synchronization domains (groups[d]
-// lists domain d's hosts; every host must appear exactly once) and runs them
-// across the given worker count. Most callers want SetWorkers; Partition is
-// for harnesses that need a specific cut. The same call-ordering rules
-// apply: topology final, nothing deployed, dialed or attached yet.
-func (n *Net) Partition(groups [][]*Host, workers int) error {
+// partition assigns hosts to synchronization domains (groups[d] lists
+// domain d's hosts; every host must appear exactly once) and runs them
+// across the given worker count. SetWorkers derives the cut; tests pass a
+// specific one. The same call-ordering rules apply: topology final, nothing
+// deployed, dialed or attached yet.
+func (n *Net) partition(groups [][]*Host, workers int) error {
 	if n.par != nil {
 		return fmt.Errorf("hydranet: network already partitioned")
 	}
@@ -306,9 +304,10 @@ func (n *Net) EventsFired() uint64 {
 	return n.sched.Fired()
 }
 
-// eventsPending counts queued simulation events: scheduler heaps plus, in a
-// partitioned run, global events. Cross-domain hand-offs are already queued
-// in their destination heaps by the barrier that precedes any reader.
+// eventsPending counts queued simulation events: scheduler heaps, the
+// coordinator's included in a partitioned run. Cross-domain hand-offs are
+// already queued in their destination heaps by the barrier that precedes
+// any reader.
 func (n *Net) eventsPending() int {
 	if n.par != nil {
 		return n.par.group.Pending()
@@ -394,25 +393,16 @@ func (p *parallelRT) installTaps() {
 	}
 }
 
-// keyFor returns the merge key of the observation being emitted: the
-// executing event's (time, birth) in worker context, the global event's key
-// at a barrier, or the group clock for coordinator-context emission between
-// runs (Crash/Restart called from test code).
+// keyFor returns the merge key of an observation spooled inside a window:
+// the (time, birth) of the domain event emitting it.
 func (p *parallelRT) keyFor(d int) sim.Key {
-	if p.inGlobal {
-		return p.globalKey
-	}
 	k, _ := p.scheds[d].CurrentKey()
-	if now := p.group.Now(); k.At < now {
-		k = sim.Key{At: now, Birth: now}
-	}
 	return k
 }
 
 // spoolEvent is the per-domain view subscriber: defer the event for merged
-// replay into the real bus. Coordinator-context emission (global events,
-// setup code between runs) is already at its correct point in the merged
-// order and publishes through immediately.
+// replay into the real bus. Emission outside a window is already at its
+// correct point in the merged order and publishes through immediately.
 func (p *parallelRT) spoolEvent(d int, ev obs.Event) {
 	if p.direct() {
 		p.n.bus.Publish(ev)
@@ -531,72 +521,9 @@ func (p *parallelRT) now() time.Duration {
 	return p.group.Now()
 }
 
-// run/runUntil drive the group, refreshing views first so subscriptions
-// made since the last run take effect.
-func (p *parallelRT) run() {
+// ready refreshes the views, so subscriptions made since the last run take
+// effect, and returns the group for the caller to drive.
+func (p *parallelRT) ready() *sim.Group {
 	p.refresh()
-	p.running = true
-	p.group.Run()
-	p.running = false
-}
-
-func (p *parallelRT) runUntil(t time.Duration) {
-	p.refresh()
-	p.running = true
-	p.group.RunUntil(t)
-	p.running = false
-}
-
-// at schedules fn as a global event positioned exactly where a serial
-// scheduler would have run an event inserted now: barrier context, with the
-// global key exported so anything fn emits merges at the right instant.
-func (p *parallelRT) at(t time.Duration, fn func()) {
-	birth := p.group.Now()
-	p.group.Schedule(t, birth, func() {
-		p.inGlobal = true
-		p.globalKey = sim.Key{At: t, Birth: birth}
-		fn()
-		p.inGlobal = false
-	})
-}
-
-// groupTicker is the parallel analogue of a series.Sampler's timer: a
-// self-rearming global event with the same (fire, birth) key sequence the
-// serial sim.Timer would produce, so sampled series are byte-identical.
-type groupTicker struct {
-	p       *parallelRT
-	every   time.Duration
-	fn      func(now time.Duration)
-	ticks   uint64
-	ev      sim.GlobalEvent
-	stopped bool
-}
-
-// startTicker arms a recurring barrier tick; the first fires one cadence
-// from now, like Sampler.Start.
-func (p *parallelRT) startTicker(every time.Duration, fn func(now time.Duration)) *groupTicker {
-	g := &groupTicker{p: p, every: every, fn: fn}
-	g.arm(p.group.Now()+every, p.group.Now())
-	return g
-}
-
-func (g *groupTicker) arm(at, birth time.Duration) {
-	g.ev = g.p.group.Schedule(at, birth, func() {
-		if g.stopped {
-			return
-		}
-		g.ticks++
-		p := g.p
-		p.inGlobal = true
-		p.globalKey = sim.Key{At: at, Birth: birth}
-		g.fn(at)
-		p.inGlobal = false
-		g.arm(at+g.every, at)
-	})
-}
-
-// Stop disarms the ticker.
-func (g *groupTicker) Stop() {
-	g.stopped = true
-	g.ev.Cancel()
+	return p.group
 }

@@ -304,8 +304,8 @@ func TestPartitionOrderingGuards(t *testing.T) {
 			t.Fatal(err)
 		}
 		groups := [][]*Host{{client}, {rd.Host}, {replicas[0]}, {replicas[1]}}
-		if err := net.Partition(groups, 2); err == nil {
-			t.Fatal("Partition with live connections succeeded, want error")
+		if err := net.partition(groups, 2); err == nil {
+			t.Fatal("partition with live connections succeeded, want error")
 		}
 	})
 	t.Run("add host after partition", func(t *testing.T) {

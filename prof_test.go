@@ -221,7 +221,7 @@ func TestMergeTieAccounting(t *testing.T) {
 		net.Link(b, c, link)
 		net.AutoRoute()
 		if parallel {
-			if err := net.Partition([][]*Host{{a}, {b}, {c}}, 2); err != nil {
+			if err := net.partition([][]*Host{{a}, {b}, {c}}, 2); err != nil {
 				t.Fatal(err)
 			}
 		}

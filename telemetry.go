@@ -64,7 +64,6 @@ type Telemetry struct {
 	net     *Net
 	set     *series.Set
 	sampler *series.Sampler
-	gtick   *groupTicker // drives ticks at barriers in partitioned runs
 	scorer  *series.HealthScorer
 	spans   *SpanCollector
 	probe   *FailoverProbe
@@ -105,10 +104,17 @@ type watchedReplica struct {
 // The sampler reschedules itself forever, so Net.Run()-until-idle callers
 // must Stop it; RunFor/RunUntil harnesses need no Stop.
 func (n *Net) StartSampler(cfg SamplerConfig) *Telemetry {
+	// Partitioned, the sampler reads state spanning every domain, so its
+	// ticks run on the coordinator: at window barriers, with every worker
+	// parked, under the same (time, birth) keys the serial timer would use.
+	sched := n.sched
+	if n.par != nil {
+		sched = n.par.group.Coordinator()
+	}
 	t := &Telemetry{
 		net:      n,
 		set:      series.NewSet(cfg.Capacity),
-		sampler:  series.NewSampler(n.sched, cfg.Every),
+		sampler:  series.NewSampler(sched, cfg.Every),
 		spans:    cfg.Spans,
 		maxConns: cfg.MaxConns,
 	}
@@ -135,19 +141,7 @@ func (n *Net) StartSampler(cfg SamplerConfig) *Telemetry {
 		})
 	}
 	t.sampler.OnSample(t.sample)
-	if n.par != nil {
-		// Partitioned: the sampler reads state spanning every domain, so
-		// its tick must run at a window barrier with all workers parked. A
-		// group ticker fires with the same (time, birth) key sequence the
-		// serial timer would use, keeping sampled series byte-identical.
-		every := cfg.Every
-		if every <= 0 {
-			every = series.DefaultCadence
-		}
-		t.gtick = n.par.startTicker(every, t.sample)
-	} else {
-		t.sampler.Start()
-	}
+	t.sampler.Start()
 	return t
 }
 
@@ -155,39 +149,18 @@ func (n *Net) StartSampler(cfg SamplerConfig) *Telemetry {
 // built-in probes).
 func (t *Telemetry) Set() *SeriesSet { return t.set }
 
-// Sampler returns the underlying sampler. In a partitioned run the ticks
-// are driven at window barriers instead; use Ticks/Every, which work in
-// both modes.
-func (t *Telemetry) Sampler() *series.Sampler { return t.sampler }
-
 // Ticks returns how many times the pipeline has sampled.
-func (t *Telemetry) Ticks() uint64 {
-	if t.gtick != nil {
-		return t.gtick.ticks
-	}
-	return t.sampler.Ticks()
-}
+func (t *Telemetry) Ticks() uint64 { return t.sampler.Ticks() }
 
 // Every returns the sampling cadence.
-func (t *Telemetry) Every() time.Duration {
-	if t.gtick != nil {
-		return t.gtick.every
-	}
-	return t.sampler.Every()
-}
+func (t *Telemetry) Every() time.Duration { return t.sampler.Every() }
 
 // Scorer returns the health scorer (nil unless SamplerConfig.Health was
 // set).
 func (t *Telemetry) Scorer() *HealthScorer { return t.scorer }
 
 // Stop disarms the sampler; collected series remain readable.
-func (t *Telemetry) Stop() {
-	if t.gtick != nil {
-		t.gtick.Stop()
-		return
-	}
-	t.sampler.Stop()
-}
+func (t *Telemetry) Stop() { t.sampler.Stop() }
 
 // AttachFailover records the probe's Table-2 report into the export
 // metadata, aligning series timelines with failover phases.
