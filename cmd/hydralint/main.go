@@ -44,7 +44,7 @@ import (
 
 // version participates in go vet's content-addressed caching: bump it when
 // analyzer behavior changes so stale cached verdicts are not replayed.
-const version = "hydralint-3"
+const version = "hydralint-4"
 
 // schemaVersion identifies the -json output shape; consumers pin it so a
 // field rename cannot silently break CI parsers.

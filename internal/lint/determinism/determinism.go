@@ -189,7 +189,8 @@ func checkCall(pass *lint.Pass, call *ast.CallExpr, allowed func(token.Pos) bool
 	}
 	// Only package-level selector calls matter: methods on a seeded
 	// *rand.Rand have a receiver and are the sanctioned path.
-	if _, isPkgName := pass.TypesInfo.Uses[identOf(sel.X)].(*types.PkgName); !isPkgName {
+	id, _ := sel.X.(*ast.Ident)
+	if _, isPkgName := pass.TypesInfo.Uses[id].(*types.PkgName); !isPkgName {
 		return
 	}
 	switch obj.Pkg().Path() {
@@ -206,12 +207,6 @@ func checkCall(pass *lint.Pass, call *ast.CallExpr, allowed func(token.Pos) bool
 			pass.Reportf(call.Pos(), "crypto/rand.%s is nondeterministic by design; the simulation core must use the scheduler's seeded source", obj.Name())
 		}
 	}
-}
-
-// identOf unwraps x to its identifier, if it is one.
-func identOf(x ast.Expr) *ast.Ident {
-	id, _ := x.(*ast.Ident)
-	return id
 }
 
 // --- domain-partition fence (internal/netsim only) ---

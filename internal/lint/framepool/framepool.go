@@ -5,7 +5,7 @@
 // code compile into the tree at all.
 //
 // Within each function it tracks local variables of type *frame.Buf and
-// flags, flow-insensitively but position-aware:
+// flags:
 //
 //   - use after Release, and double Release
 //   - use (or Release) after an ownership-transferring call — passing the
@@ -19,16 +19,22 @@
 //   - Buf values obtained from Pool.Get that are never released, handed
 //     off, returned, or stored: a pool leak
 //
-// The position analysis understands early returns: a Release inside a
-// block that cannot fall through (it ends in return, panic, break,
-// continue, or an if/else whose branches all terminate) poisons only that
-// block, so the fabric's `if !alive { fb.Release(); return }` guards stay
-// clean. A Release or transfer inside a loop body additionally poisons the
-// whole body when the variable is never rebound in the loop — the
-// transfer-in-loop bug where iteration two touches a frame iteration one
-// gave away. Releases under defer are treated as handoffs only; their
-// execution point is the function's end, which a linear scan cannot
-// order.
+// Use-after-Release is a forward may-analysis over each function body's
+// control-flow graph (internal/lint/ir); every function literal is its
+// own body. The fact at each point maps every tracked Buf to the
+// ownership-ending events (Release or transfer) that reach it along some
+// path, and every derived slice to the Bufs whose bytes it may alias.
+// Rebinding a Buf clears its events, and rebinding a slice from a
+// non-derived source (a privatizing copy) clears its alias. A read of a
+// Buf or of a derived slice that some event reaches is a violation, so
+// the fabric's `if !alive { fb.Release(); return }` guards, else and case
+// isolation stay clean while a Release that leaves a loop by break, falls
+// through into the next case, or reaches the next iteration by continue
+// or goto is caught. An event that reaches its own call site around a
+// loop's back edge is reported as loop-carried: the next iteration
+// releases or hands off a frame it no longer owns. Releases under defer
+// run at function exit, after every body access; they count as hand-offs
+// for the leak check only.
 //
 // Ownership that crosses a same-package call boundary is handled by
 // bottom-up ownership summaries (see summary.go): a helper that releases,
@@ -46,8 +52,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
+	"sort"
 
 	"hydranet/internal/lint"
+	"hydranet/internal/lint/ir"
 )
 
 // Analyzer is the frame-pool ownership checker.
@@ -107,758 +117,543 @@ const (
 	evTransfer
 )
 
-// event is one ownership-ending operation on a tracked variable.
+// event is one ownership-ending call site.
 type event struct {
-	obj       *types.Var
-	kind      eventKind
-	pos       token.Pos // of the call
-	selfIdent token.Pos // the variable's own mention inside the call
-	intervals []interval
-	callee    string
-	via       bool // the release/transfer happens inside the callee
+	kind   eventKind
+	pos    token.Pos // of the call
+	callee string
+	via    bool // the release/transfer happens inside the callee
 }
 
-type interval struct{ from, to token.Pos }
+// ending records that ev may have ended buf's ownership.
+type ending struct {
+	buf *types.Var
+	ev  event
+}
 
-func (iv interval) contains(p token.Pos) bool { return p >= iv.from && p <= iv.to }
+// aliasing records that slice may alias buf's backing array.
+type aliasing struct{ slice, buf *types.Var }
 
-// use is one mention of a tracked variable.
-type use struct {
-	obj *types.Var
-	id  *ast.Ident
+// fact is the may-state at one program point. Both parts are sets of
+// pairs, so the join is union.
+type fact struct {
+	ended map[ending]bool
+	alias map[aliasing]bool
+}
+
+var lattice = ir.Lattice[fact]{
+	Join: func(a, b fact) fact {
+		out := fact{maps.Clone(a.ended), maps.Clone(a.alias)}
+		maps.Copy(out.ended, b.ended)
+		maps.Copy(out.alias, b.alias)
+		return out
+	},
+	Equal: func(a, b fact) bool { return maps.Equal(a.ended, b.ended) && maps.Equal(a.alias, b.alias) },
+	Clone: func(f fact) fact { return fact{maps.Clone(f.ended), maps.Clone(f.alias)} },
+}
+
+// endings lists the events that may have ended buf's ownership, by
+// position.
+func (f fact) endings(buf *types.Var) []event {
+	var out []event
+	for k := range f.ended {
+		if k.buf == buf {
+			out = append(out, k.ev)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
+	return out
+}
+
+// aliased lists the Bufs slice may alias, by declaration position.
+func (f fact) aliased(slice *types.Var) []*types.Var {
+	var out []*types.Var
+	for k := range f.alias {
+		if k.slice == slice {
+			out = append(out, k.buf)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
+	return out
+}
+
+// callEvent is one event a call performs on a tracked Buf, and the Buf's
+// own mention in the call.
+type callEvent struct {
+	buf  *types.Var
+	self *ast.Ident
+	ev   event
+}
+
+// store is a derived slice stored in longer-lived state: checked once the
+// whole function is known, because the frame may be given away after the
+// store.
+type store struct {
+	pos  token.Pos
+	bufs []*types.Var
+}
+
+// checker runs the ownership analysis over one function declaration's
+// bodies.
+type checker struct {
+	pass    *lint.Pass
+	info    *types.Info
+	sums    *pkgSummaries
+	tracked map[*types.Var]bool
+	report  bool // replaying solved blocks: report reads and record stores
+
+	gone    map[*types.Var]bool // Bufs released or transferred somewhere
+	stores  []store
+	flagged map[token.Pos]bool
 }
 
 func analyzeFunc(pass *lint.Pass, fn *ast.FuncDecl, sums *pkgSummaries) {
-	info := pass.TypesInfo
-
 	// Track every local (including params and receiver) of type *frame.Buf.
 	tracked := map[*types.Var]bool{}
-	fromGet := map[*types.Var]*ast.CallExpr{}
+	bodies := []*ast.BlockStmt{fn.Body}
 	ast.Inspect(fn, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if v, ok := info.Defs[id].(*types.Var); ok && isBufPtr(v.Type()) {
-			tracked[v] = true
+		switch n := n.(type) {
+		case *ast.Ident:
+			if v, ok := pass.TypesInfo.Defs[n].(*types.Var); ok && isBufPtr(v.Type()) {
+				tracked[v] = true
+			}
+		case *ast.FuncLit:
+			bodies = append(bodies, n.Body)
 		}
 		return true
 	})
 	if len(tracked) == 0 {
 		return
 	}
-
-	parents := buildParents(fn)
-
-	var events []event
-	resets := map[*types.Var][]token.Pos{}
-	var uses []use
-	handoff := map[*types.Var]bool{}   // leak check: ownership plausibly left
-	lhsIdents := map[*ast.Ident]bool{} // pure rebinds; not reads
-	deferred := map[token.Pos]bool{}   // positions of calls under defer
-
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			deferred[n.Call.Pos()] = true
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				var v *types.Var
-				if d, ok := info.Defs[id].(*types.Var); ok {
-					v = d
-				} else if u, ok := info.Uses[id].(*types.Var); ok {
-					v = u
-				}
-				if v == nil || !tracked[v] {
-					continue
-				}
-				lhsIdents[id] = true
-				resets[v] = append(resets[v], id.Pos())
-				if len(n.Lhs) == len(n.Rhs) {
-					if call := asCall(n.Rhs[i]); call != nil && isPoolGet(info, call) {
-						fromGet[v] = call
-					}
-				}
-			}
-		case *ast.CallExpr:
-			collectCallEvents(pass, fn, n, info, tracked, parents, &events, handoff, deferred, sums)
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if v := trackedIdentVar(info, tracked, r); v != nil {
-					handoff[v] = true
-				}
-			}
-		case *ast.Ident:
-			if v, ok := info.Uses[n].(*types.Var); ok && tracked[v] {
-				uses = append(uses, use{obj: v, id: n})
-			}
-		}
-		return true
-	})
-
-	// Escapes beyond calls: stores into anything that is not a plain local
-	// rebind (fields, slices, maps, globals, channel sends, composite
-	// literals, closures) count as handoffs for the leak check.
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				if v := trackedIdentVar(info, tracked, rhs); v != nil {
-					if !isLocalRebind(info, tracked, n) {
-						handoff[v] = true
-					}
-				}
-			}
-		case *ast.SendStmt:
-			if v := trackedIdentVar(info, tracked, n.Value); v != nil {
-				handoff[v] = true
-			}
-		case *ast.CompositeLit:
-			for _, e := range n.Elts {
-				x := e
-				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					x = kv.Value
-				}
-				if v := trackedIdentVar(info, tracked, x); v != nil {
-					handoff[v] = true
-				}
-			}
-		case *ast.FuncLit:
-			// A closure that mentions the buf may release it later.
-			ast.Inspect(n.Body, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok {
-					if v, ok := info.Uses[id].(*types.Var); ok && tracked[v] {
-						handoff[v] = true
-					}
-				}
-				return true
-			})
-		}
-		return true
-	})
-
-	derived, derivedResets := deriveSlices(info, fn, tracked, sums)
-
-	reportOwnership(pass, events, uses, resets, lhsIdents, derived, derivedResets, info)
-	reportLeaks(pass, fromGet, handoff)
-	reportRetainedStores(pass, fn, info, tracked, events, derived, sums)
-}
-
-// collectCallEvents records Release and transfer calls on tracked vars,
-// plus ownership-ending calls to summarized same-package helpers.
-func collectCallEvents(pass *lint.Pass, fn *ast.FuncDecl, call *ast.CallExpr, info *types.Info,
-	tracked map[*types.Var]bool, parents map[ast.Node]ast.Node,
-	events *[]event, handoff map[*types.Var]bool, deferred map[token.Pos]bool, sums *pkgSummaries) {
-
-	// fb.Release()
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Release" && len(call.Args) == 0 {
-		if v := trackedIdentVar(info, tracked, sel.X); v != nil {
-			handoff[v] = true
-			if deferred[call.Pos()] {
-				return // runs at function exit; cannot be ordered linearly
-			}
-			ivs, loopCarried := poisonIntervals(fn, call, parents, v, info)
-			if loopCarried {
-				pass.Reportf(call.Pos(), "Release of %s inside a loop that never rebinds it: the next iteration double-releases", v.Name())
-			}
-			*events = append(*events, event{
-				obj: v, kind: evRelease, pos: call.Pos(),
-				selfIdent: identPos(sel.X),
-				intervals: ivs,
-				callee:    "Release",
-			})
-			return
-		}
+	c := &checker{
+		pass: pass, info: pass.TypesInfo, sums: sums, tracked: tracked,
+		gone: map[*types.Var]bool{}, flagged: map[token.Pos]bool{},
 	}
-
-	// Transfer calls and summarized helpers: any argument that is a
-	// tracked var. Named transfer callees (SendFrame) keep their dedicated
-	// semantics; ownership summaries speak for everything else the package
-	// call graph can resolve.
-	name := calleeName(call)
-	var sum *ownSummary
-	if !transferFuncs[name] {
-		sum = sums.forCall(call)
+	for _, body := range bodies {
+		c.checkBody(body)
 	}
-	for ai, arg := range call.Args {
-		v := trackedIdentVar(info, tracked, arg)
-		if v == nil {
-			continue
-		}
-		pf := sum.param(ai)
-		if sum == nil || !pf.pure() {
-			handoff[v] = true // the callee may assume ownership
-		}
-		if transferFuncs[name] && !deferred[call.Pos()] {
-			ivs, loopCarried := poisonIntervals(fn, call, parents, v, info)
-			if loopCarried {
-				pass.Reportf(call.Pos(), "transfer of %s to %s inside a loop that never rebinds it: the next iteration hands the fabric a frame it already owns", v.Name(), name)
-			}
-			*events = append(*events, event{
-				obj: v, kind: evTransfer, pos: call.Pos(),
-				selfIdent: identPos(arg),
-				intervals: ivs,
-				callee:    name,
-			})
-			continue
-		}
-		if pf != nil && (pf.releases || pf.transfers) && !deferred[call.Pos()] {
-			ivs, loopCarried := poisonIntervals(fn, call, parents, v, info)
-			kind := evRelease
-			if !pf.releases {
-				kind = evTransfer
-			}
-			if loopCarried {
-				if kind == evRelease {
-					pass.Reportf(call.Pos(), "call to %s releases %s inside a loop that never rebinds it: the next iteration touches a dead frame", name, v.Name())
-				} else {
-					pass.Reportf(call.Pos(), "call to %s transfers %s inside a loop that never rebinds it: the next iteration hands the fabric a frame it already owns", name, v.Name())
-				}
-			}
-			*events = append(*events, event{
-				obj: v, kind: kind, pos: call.Pos(),
-				selfIdent: identPos(arg),
-				intervals: ivs,
-				callee:    name,
-				via:       true,
-			})
-		}
-	}
-}
-
-// reportOwnership flags uses that land inside some event's poisoned
-// region with no rebind in between.
-func reportOwnership(pass *lint.Pass, events []event, uses []use,
-	resets map[*types.Var][]token.Pos, lhsIdents map[*ast.Ident]bool,
-	derived map[*types.Var]*types.Var, derivedResets map[*types.Var][]token.Pos, info *types.Info) {
-
-	flagged := map[token.Pos]bool{}
-	flag := func(pos token.Pos, format string, args ...any) {
-		if !flagged[pos] {
-			flagged[pos] = true
-			pass.Reportf(pos, format, args...)
-		}
-	}
-
-	for _, u := range uses {
-		if lhsIdents[u.id] {
-			continue // rebind, not a read
-		}
-		upos := u.id.Pos()
-		for i := range events {
-			ev := &events[i]
-			if ev.obj != u.obj || upos == ev.selfIdent {
-				continue
-			}
-			if !inIntervals(ev.intervals, upos) {
-				continue
-			}
-			if rebindBetween(resets[u.obj], ev.pos, upos) {
-				continue
-			}
-			switch classifyUse(u.id, ev, events) {
-			case "double-release":
-				if ev.via {
-					flag(upos, "double Release of %s (released inside call to %s at %s)", u.obj.Name(), ev.callee, pass.Fset.Position(ev.pos))
-				} else {
-					flag(upos, "double Release of %s (first at %s)", u.obj.Name(), pass.Fset.Position(ev.pos))
-				}
-			case "release-after-transfer":
-				if ev.via {
-					flag(upos, "Release of %s after call to %s handed it to the fabric at %s: the fabric guarantees the release", u.obj.Name(), ev.callee, pass.Fset.Position(ev.pos))
-				} else {
-					flag(upos, "Release of %s after ownership transfer to %s at %s: the fabric guarantees the release", u.obj.Name(), ev.callee, pass.Fset.Position(ev.pos))
-				}
-			default:
-				switch {
-				case ev.via && ev.kind == evRelease:
-					flag(upos, "use of %s after call to %s, which releases it, at %s", u.obj.Name(), ev.callee, pass.Fset.Position(ev.pos))
-				case ev.via:
-					flag(upos, "use of %s after call to %s, which hands it to the fabric, at %s", u.obj.Name(), ev.callee, pass.Fset.Position(ev.pos))
-				case ev.kind == evRelease:
-					flag(upos, "use of %s after Release at %s", u.obj.Name(), pass.Fset.Position(ev.pos))
-				default:
-					flag(upos, "use of %s after ownership transfer to %s at %s", u.obj.Name(), ev.callee, pass.Fset.Position(ev.pos))
-				}
-			}
-			break
-		}
-	}
-
-	// Derived slices: a use of d (derived from fb) inside fb's poisoned
-	// region is a read through a recycled frame.
-	for dv, bv := range derived {
-		for _, u := range mentionsOf(info, dv) {
-			upos := u.Pos()
-			if lhsIdents[u] {
-				continue
-			}
-			for i := range events {
-				ev := &events[i]
-				if ev.obj != bv || !inIntervals(ev.intervals, upos) {
-					continue
-				}
-				if rebindBetween(resets[bv], ev.pos, upos) || rebindBetween(derivedResets[dv], ev.pos, upos) {
-					continue
-				}
-				what := "Release"
-				switch {
-				case ev.via && ev.kind == evRelease:
-					what = "release inside call to " + ev.callee
-				case ev.via:
-					what = "transfer inside call to " + ev.callee
-				case ev.kind == evTransfer:
-					what = "ownership transfer to " + ev.callee
-				}
-				flag(upos, "slice %s derived from frame %s used after its %s at %s; copy (or privatize) before giving the frame away",
-					dv.Name(), bv.Name(), what, pass.Fset.Position(ev.pos))
+	for _, st := range c.stores {
+		for _, b := range st.bufs {
+			if c.gone[b] {
+				pass.Reportf(st.pos, "slice derived from frame %s stored in longer-lived state while this function releases or transfers the frame; copy the bytes instead", b.Name())
 				break
 			}
 		}
 	}
+	reportLeaks(pass, fn, tracked, sums)
 }
 
-// classifyUse refines the message when the offending use is itself a
-// Release or transfer event.
-func classifyUse(id *ast.Ident, cause *event, events []event) string {
-	for i := range events {
-		ev := &events[i]
-		if ev.selfIdent != id.Pos() {
-			continue
+// checkBody solves the ownership problem over one body, then replays each
+// reachable block from its IN fact to report the reads that an
+// ownership-ending event reaches.
+func (c *checker) checkBody(body *ast.BlockStmt) {
+	cfg := ir.Build(body)
+	p := ir.Problem[fact]{
+		Lattice:  lattice,
+		Boundary: fact{map[ending]bool{}, map[aliasing]bool{}},
+		Transfer: c.fold,
+	}
+	c.report = false
+	in, reachable := ir.Forward(cfg, p)
+	c.report = true
+	for _, b := range cfg.Blocks {
+		if reachable[b] {
+			ir.FoldBlock(b, p, lattice.Clone(in[b]))
 		}
-		if ev.kind == evRelease {
-			if cause.kind == evRelease {
-				return "double-release"
+	}
+}
+
+// fold applies one element to f in evaluation order: a read is checked
+// against the fact as it stands, a call's events take effect once its
+// arguments are evaluated, and an assignment's rebinds once its right-hand
+// sides are. Function literals are bodies of their own; only their reads
+// of captured variables are checked here.
+func (c *checker) fold(elem ast.Node, f fact) fact {
+	binds := map[*ast.Ident]bool{} // plain assignment targets: not reads
+	var rangeVars []*types.Var
+	if rs, ok := elem.(*ast.RangeStmt); ok {
+		for _, e := range []ast.Expr{rs.Key, rs.Value} {
+			if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+				binds[id] = true
+				if v := identVar(c.info, id); v != nil {
+					rangeVars = append(rangeVars, v) // rebound every iteration
+				}
 			}
-			return "release-after-transfer"
 		}
 	}
-	return "use"
-}
-
-// reportLeaks flags Get results that never leave the function.
-func reportLeaks(pass *lint.Pass, fromGet map[*types.Var]*ast.CallExpr, handoff map[*types.Var]bool) {
-	for v, call := range fromGet {
-		if handoff[v] {
-			continue
-		}
-		pass.Reportf(call.Pos(), "%s obtained from Get is never released or handed off: pool leak", v.Name())
+	var deferred *ast.CallExpr // runs at exit: a hand-off, not an event
+	if d, ok := elem.(*ast.DeferStmt); ok {
+		deferred = d.Call
 	}
-}
-
-// reportRetainedStores flags derived slices stored into longer-lived
-// places when the function also gives the frame away.
-func reportRetainedStores(pass *lint.Pass, fn *ast.FuncDecl, info *types.Info,
-	tracked map[*types.Var]bool, events []event, derived map[*types.Var]*types.Var, sums *pkgSummaries) {
-
-	gone := map[*types.Var]bool{}
-	for i := range events {
-		gone[events[i].obj] = true
-	}
-	if len(gone) == 0 {
-		return
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
+	pending := map[*ast.CallExpr][]callEvent{}
+	self := map[*ast.Ident]event{}
+	var stack []ast.Node
+	ir.Inspect(elem, func(n ast.Node) bool {
+		if n == nil {
+			switch n := stack[len(stack)-1].(type) {
+			case *ast.CallExpr:
+				for _, ce := range pending[n] {
+					f.ended[ending{ce.buf, ce.ev}] = true
+					c.gone[ce.buf] = true
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+					c.assign(f, n.Lhs, n.Rhs)
+				}
+			case *ast.ValueSpec:
+				names := make([]ast.Expr, len(n.Names))
+				for i, id := range n.Names {
+					names[i] = id
+				}
+				c.assign(f, names, n.Values)
+			}
+			stack = stack[:len(stack)-1]
 			return true
 		}
-		for i, lhs := range as.Lhs {
-			if _, isIdent := ast.Unparen(lhs).(*ast.Ident); isIdent {
-				continue // local rebinds handled by the positional analysis
+		if lit, ok := n.(*ast.FuncLit); ok {
+			if c.report {
+				c.checkCaptures(f, lit)
 			}
-			bv := derivedSource(info, tracked, derived, sums, as.Rhs[i])
-			if bv == nil || !gone[bv] {
-				continue
+			return false
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+				for _, lhs := range n.Lhs {
+					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+						binds[id] = true
+					}
+				}
 			}
-			pass.Reportf(as.Rhs[i].Pos(), "slice derived from frame %s stored in longer-lived state while this function releases or transfers the frame; copy the bytes instead", bv.Name())
+		case *ast.CallExpr:
+			if n != deferred {
+				pending[n] = c.callEvents(n)
+				for _, ce := range pending[n] {
+					self[ce.self] = ce.ev
+				}
+			}
+		case *ast.Ident:
+			if c.report && !binds[n] {
+				own, isOwn := self[n]
+				c.checkRead(f, n, own, isOwn)
+			}
+		}
+		return true
+	})
+	for _, v := range rangeVars {
+		c.rebind(f, v, nil)
+	}
+	return f
+}
+
+// checkCaptures checks a closure's reads at its creation: it cannot run
+// earlier, so every event that reaches the creation reaches those reads.
+// Only captured variables can have events in the enclosing body's fact.
+func (c *checker) checkCaptures(f fact, lit *ast.FuncLit) {
+	binds := map[*ast.Ident]bool{}
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+					binds[id] = true
+				}
+			}
+		case *ast.Ident:
+			if !binds[n] {
+				c.checkRead(f, n, event{}, false)
+			}
 		}
 		return true
 	})
 }
 
-// --- derived-slice tracking ---
-
-// deriveSlices maps slice variables to the Buf they alias, by fixpoint
-// over assignments, plus reset positions (assignments from non-derived
-// sources, e.g. a privatizing copy).
-func deriveSlices(info *types.Info, fn *ast.FuncDecl, tracked map[*types.Var]bool, sums *pkgSummaries) (map[*types.Var]*types.Var, map[*types.Var][]token.Pos) {
-	derived := map[*types.Var]*types.Var{}
-	resets := map[*types.Var][]token.Pos{}
-	for {
-		changed := false
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				var v *types.Var
-				if d, ok := info.Defs[id].(*types.Var); ok {
-					v = d
-				} else if u, ok := info.Uses[id].(*types.Var); ok {
-					v = u
-				}
-				if v == nil || tracked[v] {
-					continue
-				}
-				if src := derivedSource(info, tracked, derived, sums, as.Rhs[i]); src != nil {
-					if derived[v] != src {
-						derived[v] = src
-						changed = true
-					}
-				} else {
-					resets[v] = append(resets[v], id.Pos())
-				}
-			}
-			return true
-		})
-		if !changed {
-			break
-		}
-		// resets accumulate duplicates across fixpoint rounds; harmless
-		// (positional containment only), but cap the loop for safety.
-		if len(derived) > 1024 {
-			break
+// callEvents lists the ownership-ending events of a call: fb.Release(),
+// a transfer to a named transfer callee (SendFrame), or a same-package
+// helper whose summary releases or transfers the argument.
+func (c *checker) callEvents(call *ast.CallExpr) []callEvent {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Release" && len(call.Args) == 0 {
+		if v := trackedIdentVar(c.info, c.tracked, sel.X); v != nil {
+			return []callEvent{{v, ast.Unparen(sel.X).(*ast.Ident), event{evRelease, call.Pos(), "Release", false}}}
 		}
 	}
-	return derived, resets
+	name := calleeName(call)
+	var sum *ownSummary
+	if !transferFuncs[name] {
+		sum = c.sums.forCall(call)
+	}
+	var out []callEvent
+	for ai, arg := range call.Args {
+		v := trackedIdentVar(c.info, c.tracked, arg)
+		if v == nil {
+			continue
+		}
+		ev := event{kind: evTransfer, pos: call.Pos(), callee: name}
+		if !transferFuncs[name] {
+			pf := sum.param(ai)
+			if pf == nil || !(pf.releases || pf.transfers) {
+				continue
+			}
+			ev.via = true
+			if pf.releases {
+				ev.kind = evRelease
+			}
+		}
+		out = append(out, callEvent{v, ast.Unparen(arg).(*ast.Ident), ev})
+	}
+	return out
 }
 
-// derivedSource resolves expr to the tracked Buf it aliases, or nil. A
-// call to a summarized helper whose result aliases a parameter's bytes
-// (returns-derived-slice) resolves through the call to the argument.
-func derivedSource(info *types.Info, tracked map[*types.Var]bool, derived map[*types.Var]*types.Var, sums *pkgSummaries, expr ast.Expr) *types.Var {
+// assign rebinds plain identifier targets to what their right-hand sides
+// derive from, and records derived slices stored anywhere else.
+func (c *checker) assign(f fact, lhs, rhs []ast.Expr) {
+	srcs := make([][]*types.Var, len(lhs))
+	if len(lhs) == len(rhs) {
+		for i, r := range rhs {
+			srcs[i] = c.derivedSources(f, r)
+		}
+	}
+	for i, l := range lhs {
+		id, ok := ast.Unparen(l).(*ast.Ident)
+		if !ok {
+			if c.report && len(srcs[i]) > 0 {
+				c.stores = append(c.stores, store{rhs[i].Pos(), srcs[i]})
+			}
+			continue
+		}
+		if v := identVar(c.info, id); v != nil {
+			c.rebind(f, v, srcs[i])
+		}
+	}
+}
+
+// rebind gives v a new value: a Buf starts with no ownership-ending
+// events, a slice aliases exactly srcs (nothing, for a privatizing copy).
+func (c *checker) rebind(f fact, v *types.Var, srcs []*types.Var) {
+	for k := range f.ended {
+		if k.buf == v {
+			delete(f.ended, k)
+		}
+	}
+	for k := range f.alias {
+		if k.slice == v {
+			delete(f.alias, k)
+		}
+	}
+	if !c.tracked[v] {
+		for _, b := range srcs {
+			f.alias[aliasing{v, b}] = true
+		}
+	}
+}
+
+// derivedSources resolves expr to the tracked Bufs whose bytes it may
+// alias. A call to a summarized helper whose result aliases a parameter's
+// bytes (returns-derived-slice) resolves through the call to the argument.
+func (c *checker) derivedSources(f fact, expr ast.Expr) []*types.Var {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.Ident:
-		if v, ok := info.Uses[e].(*types.Var); ok {
-			if src, ok := derived[v]; ok {
-				return src
-			}
+		if v, ok := c.info.Uses[e].(*types.Var); ok {
+			return f.aliased(v)
 		}
 	case *ast.SliceExpr:
-		return derivedSource(info, tracked, derived, sums, e.X)
+		return c.derivedSources(f, e.X)
 	case *ast.CallExpr:
 		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && deriveMethods[sel.Sel.Name] {
-			if v := trackedIdentVar(info, tracked, sel.X); v != nil {
-				return v
+			if v := trackedIdentVar(c.info, c.tracked, sel.X); v != nil {
+				return []*types.Var{v}
 			}
 		}
-		if cs := sums.forCall(e); cs != nil {
-			for _, j := range cs.derivedResultParams(0) {
-				if j < len(e.Args) {
-					if v := trackedIdentVar(info, tracked, e.Args[j]); v != nil {
-						return v
-					}
+		var out []*types.Var
+		for _, j := range c.sums.forCall(e).derivedResultParams(0) {
+			if j < len(e.Args) {
+				if v := trackedIdentVar(c.info, c.tracked, e.Args[j]); v != nil {
+					out = append(out, v)
 				}
 			}
 		}
+		return out
 	}
 	return nil
 }
 
-// --- poison interval computation ---
-
-// buildParents maps every node under fn to its parent.
-func buildParents(fn *ast.FuncDecl) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(fn, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
+// checkRead reports a read of a Buf, or of a slice derived from one, that
+// an ownership-ending event reaches. own is the event the read's own call
+// performs, if any: a Release after an event is a double Release, and an
+// event reaching its own call site is loop-carried.
+func (c *checker) checkRead(f fact, id *ast.Ident, own event, isOwn bool) {
+	v, ok := c.info.Uses[id].(*types.Var)
+	if !ok {
+		return
+	}
+	if !c.tracked[v] {
+		for _, b := range f.aliased(v) {
+			if evs := f.endings(b); len(evs) > 0 {
+				c.reportf(id.Pos(), "slice %s derived from frame %s used after its %s at %s; copy (or privatize) before giving the frame away",
+					v.Name(), b.Name(), describe(evs[0]), c.pass.Fset.Position(evs[0].pos))
+				return
+			}
 		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
+		return
+	}
+	evs := f.endings(v)
+	if len(evs) == 0 {
+		return
+	}
+	name, cause, at := v.Name(), evs[0], c.pass.Fset.Position(evs[0].pos)
+	switch {
+	case isOwn && slices.Contains(evs, own):
+		switch {
+		case own.via && own.kind == evRelease:
+			c.reportf(own.pos, "call to %s releases %s inside a loop that never rebinds it: the next iteration touches a dead frame", own.callee, name)
+		case own.via:
+			c.reportf(own.pos, "call to %s transfers %s inside a loop that never rebinds it: the next iteration hands the fabric a frame it already owns", own.callee, name)
+		case own.kind == evRelease:
+			c.reportf(own.pos, "Release of %s inside a loop that never rebinds it: the next iteration double-releases", name)
+		default:
+			c.reportf(own.pos, "transfer of %s to %s inside a loop that never rebinds it: the next iteration hands the fabric a frame it already owns", name, own.callee)
 		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
+	case isOwn && own.kind == evRelease && cause.kind == evRelease && cause.via:
+		c.reportf(id.Pos(), "double Release of %s (released inside call to %s at %s)", name, cause.callee, at)
+	case isOwn && own.kind == evRelease && cause.kind == evRelease:
+		c.reportf(id.Pos(), "double Release of %s (first at %s)", name, at)
+	case isOwn && own.kind == evRelease && cause.via:
+		c.reportf(id.Pos(), "Release of %s after call to %s handed it to the fabric at %s: the fabric guarantees the release", name, cause.callee, at)
+	case isOwn && own.kind == evRelease:
+		c.reportf(id.Pos(), "Release of %s after ownership transfer to %s at %s: the fabric guarantees the release", name, cause.callee, at)
+	case cause.via && cause.kind == evRelease:
+		c.reportf(id.Pos(), "use of %s after call to %s, which releases it, at %s", name, cause.callee, at)
+	case cause.via:
+		c.reportf(id.Pos(), "use of %s after call to %s, which hands it to the fabric, at %s", name, cause.callee, at)
+	case cause.kind == evRelease:
+		c.reportf(id.Pos(), "use of %s after Release at %s", name, at)
+	default:
+		c.reportf(id.Pos(), "use of %s after ownership transfer to %s at %s", name, cause.callee, at)
+	}
 }
 
-// poisonIntervals computes the source regions poisoned by an
-// ownership-ending call: from the call to the end of each enclosing block
-// it can fall out of, stopping at blocks that cannot complete normally
-// and at the innermost function-literal boundary. Inside a loop whose
-// body never rebinds the variable, the whole body is poisoned (the event
-// reaches the next iteration); loopCarried additionally reports the
-// unguarded straight-line case, where the event's own call site is the
-// next iteration's violation.
-func poisonIntervals(fn *ast.FuncDecl, call *ast.CallExpr, parents map[ast.Node]ast.Node, v *types.Var, info *types.Info) (out []interval, loopCarried bool) {
-	start := call.Pos()
+// describe names an event for the derived-slice message.
+func describe(ev event) string {
+	switch {
+	case ev.via && ev.kind == evRelease:
+		return "release inside call to " + ev.callee
+	case ev.via:
+		return "transfer inside call to " + ev.callee
+	case ev.kind == evTransfer:
+		return "ownership transfer to " + ev.callee
+	}
+	return "Release"
+}
 
-	var node ast.Node = call
-	for {
-		parent := parents[node]
-		if parent == nil {
-			break
+// reportf reports once per position.
+func (c *checker) reportf(pos token.Pos, format string, args ...any) {
+	if !c.flagged[pos] {
+		c.flagged[pos] = true
+		c.pass.Reportf(pos, format, args...)
+	}
+}
+
+// reportLeaks flags Get results whose ownership never plausibly leaves the
+// function: never released (even deferred), passed to a callee that may
+// assume ownership, returned, stored anywhere but a plain local (fields,
+// slices, maps, globals, channel sends, composite literals), or captured
+// by a closure that may release it later.
+func reportLeaks(pass *lint.Pass, fn *ast.FuncDecl, tracked map[*types.Var]bool, sums *pkgSummaries) {
+	info := pass.TypesInfo
+	fromGet := map[*types.Var]*ast.CallExpr{}
+	handoff := map[*types.Var]bool{}
+	mark := func(e ast.Expr) {
+		if v := trackedIdentVar(info, tracked, e); v != nil {
+			handoff[v] = true
 		}
-		stmts, blockEnd, isFuncBoundary, loopBody := container(parents, parent)
-		if stmts != nil {
-			out = append(out, interval{start, blockEnd})
-			idx := childIndex(stmts, node)
-			if loopBody != nil && !rebindsVar(info, loopBody, v) && !rangeRebinds(parents, loopBody, v, info) {
-				out = append(out, interval{loopBody.Pos(), start})
-				// Straight-line event (its own statement is the bare call,
-				// not guarded by a conditional) with no way out of the loop
-				// after it: the next iteration repeats the event itself.
-				if idx >= 0 && isBareCallStmt(stmts[idx], call) && !segmentTerminates(stmts, idx+1) {
-					loopCarried = true
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
+				if !ok || len(n.Lhs) != len(n.Rhs) {
+					continue
+				}
+				if v := identVar(info, id); v != nil && tracked[v] {
+					if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && isPoolGet(info, call) {
+						fromGet[v] = call
+					}
 				}
 			}
-			if segmentTerminates(stmts, idx) {
-				return out, loopCarried
+			if !isLocalRebind(info, n) {
+				for _, rhs := range n.Rhs {
+					mark(rhs)
+				}
 			}
-			// Continue above the statement that owns this block.
-			start = containingStmtEnd(parents, parent)
-		}
-		if isFuncBoundary {
-			return out, loopCarried
-		}
-		node = parent
-	}
-	return out, loopCarried
-}
-
-// isBareCallStmt reports whether s is exactly `call` as an expression
-// statement.
-func isBareCallStmt(s ast.Stmt, call *ast.CallExpr) bool {
-	es, ok := s.(*ast.ExprStmt)
-	return ok && ast.Unparen(es.X) == call
-}
-
-// container inspects a parent node: when it is a statement-list holder it
-// returns the list and its end. It also reports whether the parent is a
-// function boundary, and the loop body when the parent is a loop's block.
-func container(parents map[ast.Node]ast.Node, parent ast.Node) (stmts []ast.Stmt, end token.Pos, funcBoundary bool, loopBody *ast.BlockStmt) {
-	switch p := parent.(type) {
-	case *ast.BlockStmt:
-		stmts, end = p.List, p.End()
-		switch gp := parents[p].(type) {
-		case *ast.FuncDecl:
-			funcBoundary = true
+		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Release" && len(n.Args) == 0 {
+				mark(sel.X)
+			}
+			var sum *ownSummary
+			if !transferFuncs[calleeName(n)] {
+				sum = sums.forCall(n)
+			}
+			for ai, arg := range n.Args {
+				if !sum.param(ai).pure() {
+					mark(arg) // the callee may assume ownership
+				}
+			}
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				mark(r)
+			}
+		case *ast.SendStmt:
+			mark(n.Value)
+		case *ast.CompositeLit:
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					e = kv.Value
+				}
+				mark(e)
+			}
 		case *ast.FuncLit:
-			funcBoundary = true
-		case *ast.ForStmt:
-			if gp.Body == p {
-				loopBody = p
-			}
-		case *ast.RangeStmt:
-			if gp.Body == p {
-				loopBody = p
-			}
-		}
-	case *ast.CaseClause:
-		stmts, end = p.Body, p.End()
-	case *ast.CommClause:
-		stmts, end = p.Body, p.End()
-	}
-	return
-}
-
-// containingStmtEnd walks from block upward to the statement that owns it
-// (IfStmt, ForStmt, SwitchStmt, ...) and returns that statement's End, so
-// the next poison interval skips sibling branches: an else block is not
-// reachable from its then block, and a later case clause is not reachable
-// from an earlier one.
-func containingStmtEnd(parents map[ast.Node]ast.Node, block ast.Node) token.Pos {
-	// A case or comm clause exits its whole switch/select.
-	switch block.(type) {
-	case *ast.CaseClause, *ast.CommClause:
-		n := block
-		for {
-			p := parents[n]
-			if p == nil {
-				return block.End()
-			}
-			switch p.(type) {
-			case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-				return p.End()
-			}
-			n = p
-		}
-	}
-	n := block
-	for {
-		p := parents[n]
-		if p == nil {
-			return block.End()
-		}
-		if _, ok := p.(ast.Stmt); ok {
-			if _, isBlock := p.(*ast.BlockStmt); !isBlock {
-				return p.End()
-			}
-			return n.End()
-		}
-		switch p.(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return n.End()
-		}
-		n = p
-	}
-}
-
-// childIndex finds which statement of stmts contains n.
-func childIndex(stmts []ast.Stmt, n ast.Node) int {
-	for i, s := range stmts {
-		if s.Pos() <= n.Pos() && n.End() <= s.End() {
-			return i
-		}
-	}
-	return -1
-}
-
-// segmentTerminates reports whether execution entering stmts[idx] can
-// never fall past the end of the list: some statement at or after idx is
-// terminating.
-func segmentTerminates(stmts []ast.Stmt, idx int) bool {
-	if idx < 0 {
-		return false
-	}
-	for _, s := range stmts[idx:] {
-		if isTerminating(s) {
-			return true
-		}
-	}
-	return false
-}
-
-// isTerminating is a pragmatic subset of the spec's terminating-statement
-// rules.
-func isTerminating(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+			ast.Inspect(n.Body, func(m ast.Node) bool {
+				if e, ok := m.(ast.Expr); ok {
+					mark(e)
+				}
 				return true
-			}
+			})
 		}
-	case *ast.IfStmt:
-		if s.Else == nil {
-			return false
+		return true
+	})
+	for v, call := range fromGet {
+		if !handoff[v] {
+			pass.Reportf(call.Pos(), "%s obtained from Get is never released or handed off: pool leak", v.Name())
 		}
-		thenTerm := blockTerminates(s.Body)
-		switch e := s.Else.(type) {
-		case *ast.BlockStmt:
-			return thenTerm && blockTerminates(e)
-		case *ast.IfStmt:
-			return thenTerm && isTerminating(e)
-		}
-	case *ast.BlockStmt:
-		return blockTerminates(s)
 	}
-	return false
-}
-
-func blockTerminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	return segmentTerminates(b.List, 0)
 }
 
 // isLocalRebind reports whether every LHS of the assignment is a plain
 // local identifier: copying a tracked var into another local aliases it
 // (the alias is itself tracked) rather than letting it escape.
-func isLocalRebind(info *types.Info, tracked map[*types.Var]bool, as *ast.AssignStmt) bool {
+func isLocalRebind(info *types.Info, as *ast.AssignStmt) bool {
 	for _, lhs := range as.Lhs {
 		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok {
 			return false
 		}
-		var v *types.Var
-		if d, ok := info.Defs[id].(*types.Var); ok {
-			v = d
-		} else if u, ok := info.Uses[id].(*types.Var); ok {
-			v = u
-		}
-		if v == nil {
-			return false
-		}
-		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return false // store into a package-level var escapes
+		v := identVar(info, id)
+		if v == nil || v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			return false // blank, or a store into a package-level var
 		}
 	}
 	return true
 }
 
-// rangeRebinds reports whether the loop owning body is a range statement
-// whose key or value binding is v: range variables are freshly bound every
-// iteration, so an ownership event on one never carries into the next
-// iteration.
-func rangeRebinds(parents map[ast.Node]ast.Node, body *ast.BlockStmt, v *types.Var, info *types.Info) bool {
-	rs, ok := parents[body].(*ast.RangeStmt)
-	if !ok {
-		return false
+// identVar resolves an identifier, defining or using, to its variable.
+func identVar(info *types.Info, id *ast.Ident) *types.Var {
+	if v, ok := info.Defs[id].(*types.Var); ok {
+		return v
 	}
-	for _, e := range []ast.Expr{rs.Key, rs.Value} {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if info.Defs[id] == v || info.Uses[id] == v {
-			return true
-		}
-	}
-	return false
-}
-
-// rebindsVar reports whether any assignment in the subtree rebinds v.
-func rebindsVar(info *types.Info, root ast.Node, v *types.Var) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if info.Defs[id] == v || info.Uses[id] == v {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// --- small helpers ---
-
-func inIntervals(ivs []interval, p token.Pos) bool {
-	for _, iv := range ivs {
-		if iv.contains(p) {
-			return true
-		}
-	}
-	return false
-}
-
-// rebindBetween reports whether the variable was rebound strictly between
-// from and to.
-func rebindBetween(resets []token.Pos, from, to token.Pos) bool {
-	for _, r := range resets {
-		if r > from && r < to {
-			return true
-		}
-	}
-	return false
+	v, _ := info.Uses[id].(*types.Var)
+	return v
 }
 
 // trackedIdentVar resolves expr to a tracked variable, or nil.
@@ -871,18 +666,6 @@ func trackedIdentVar(info *types.Info, tracked map[*types.Var]bool, expr ast.Exp
 		return v
 	}
 	return nil
-}
-
-func identPos(expr ast.Expr) token.Pos {
-	if id, ok := ast.Unparen(expr).(*ast.Ident); ok {
-		return id.Pos()
-	}
-	return token.NoPos
-}
-
-func asCall(expr ast.Expr) *ast.CallExpr {
-	call, _ := ast.Unparen(expr).(*ast.CallExpr)
-	return call
 }
 
 // isPoolGet reports whether the call is a Get returning *frame.Buf.
@@ -904,17 +687,4 @@ func calleeName(call *ast.CallExpr) string {
 		return f.Sel.Name
 	}
 	return ""
-}
-
-// mentionsOf collects every mention of v. (Separate from the main use
-// list so derived-slice vars, which are not tracked Buf vars, get their
-// own scan.)
-func mentionsOf(info *types.Info, v *types.Var) []*ast.Ident {
-	var out []*ast.Ident
-	for id, obj := range info.Uses {
-		if obj == v {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -1,8 +1,8 @@
 package framepool
 
-// Interprocedural ownership summaries. The positional machinery in
-// framepool.go sees one function at a time; this file gives it eyes
-// across same-package call boundaries. A bottom-up pass over the package
+// Interprocedural ownership summaries. The flow analysis in framepool.go
+// sees one function body at a time; this file gives it eyes across
+// same-package call boundaries. A bottom-up pass over the package
 // call graph (internal/lint/ir) computes, for every declared function,
 // what it may do to each *frame.Buf parameter:
 //
@@ -158,14 +158,7 @@ func summarize(info *types.Info, decl *ast.FuncDecl, s *pkgSummaries) *ownSummar
 		if !ok {
 			return 0, false
 		}
-		v, _ := info.Uses[id].(*types.Var)
-		if v == nil {
-			v, _ = info.Defs[id].(*types.Var)
-		}
-		if v == nil {
-			return 0, false
-		}
-		i, ok := alias[v]
+		i, ok := alias[identVar(info, id)]
 		return i, ok
 	}
 
@@ -213,12 +206,7 @@ func summarize(info *types.Info, decl *ast.FuncDecl, s *pkgSummaries) *ownSummar
 				if !ok {
 					continue
 				}
-				var v *types.Var
-				if d, ok := info.Defs[id].(*types.Var); ok {
-					v = d
-				} else if u, ok := info.Uses[id].(*types.Var); ok {
-					v = u
-				}
+				v := identVar(info, id)
 				if v == nil {
 					continue
 				}
@@ -358,12 +346,7 @@ func allLhsLocal(info *types.Info, as *ast.AssignStmt) bool {
 		if !ok {
 			return false
 		}
-		var v *types.Var
-		if d, ok := info.Defs[id].(*types.Var); ok {
-			v = d
-		} else if u, ok := info.Uses[id].(*types.Var); ok {
-			v = u
-		}
+		v := identVar(info, id)
 		if v == nil {
 			continue // blank identifier
 		}

@@ -80,6 +80,110 @@ func loopRelease(fb *frame.Buf, n int) {
 	}
 }
 
+// --- control flow only the CFG sees through ---
+
+// breakThenUse leaves the loop holding a released frame.
+func breakThenUse(fb *frame.Buf, xs []int) int {
+	for _, x := range xs {
+		if x == 0 {
+			fb.Release()
+			break
+		}
+	}
+	return fb.Len() // want "use of fb after Release"
+}
+
+// fallthroughUse releases in one case and falls into the next, which
+// reads the frame.
+func fallthroughUse(fb *frame.Buf, k int) int {
+	switch k {
+	case 0:
+		fb.Release()
+		fallthrough
+	case 1:
+		return fb.Len() // want "use of fb after Release"
+	}
+	return 0
+}
+
+// continueOuter releases and continues the outer loop: its next
+// iteration reads the frame and can release it again.
+func continueOuter(fb *frame.Buf, rows [][]int) {
+outer:
+	for _, row := range rows {
+		_ = fb.Len() // want "use of fb after Release"
+		for _, x := range row {
+			if x == 0 {
+				fb.Release() // want "Release of fb inside a loop that never rebinds it: the next iteration double-releases"
+				continue outer
+			}
+		}
+	}
+}
+
+// gotoUse jumps to done after a Release; the later Release is on a path
+// that returns and must not be blamed.
+func gotoUse(fb *frame.Buf, jump bool) int {
+	if jump {
+		fb.Release() // the Release the diagnostic cites
+		goto done
+	}
+	fb.Release()
+	return 0
+done:
+	return fb.Len() // want "use of fb after Release at .*pool_a.go:128:"
+}
+
+// guardedLoopRelease releases on some iterations and keeps looping: a
+// later iteration may release the frame again.
+func guardedLoopRelease(fb *frame.Buf, xs []int) {
+	for _, x := range xs {
+		if x == 0 {
+			fb.Release() // want "Release of fb inside a loop that never rebinds it"
+		}
+	}
+}
+
+// closureAfterRelease creates a closure after the Release; it cannot run
+// before it exists, so its read is a use after Release.
+func closureAfterRelease(fb *frame.Buf) func() int {
+	fb.Release()
+	return func() int { return fb.Len() } // want "use of fb after Release"
+}
+
+// releaseReturnElseUse: the Release returns; only the else branch reads.
+func releaseReturnElseUse(fb *frame.Buf, drop bool) int {
+	if drop {
+		fb.Release()
+		return 0
+	} else {
+		return fb.Len()
+	}
+}
+
+// useIfReleaseElse: the read and the Release are on disjoint branches.
+func useIfReleaseElse(fb *frame.Buf, keep bool) int {
+	n := 0
+	if keep {
+		n = fb.Len()
+	} else {
+		fb.Release()
+	}
+	return n
+}
+
+// releaseInLaterCase: a read in one case, the Release in another.
+func releaseInLaterCase(fb *frame.Buf, k int) int {
+	n := 0
+	switch k {
+	case 0:
+		n = fb.Len()
+	case 1:
+		fb.Release()
+	}
+	return n
+}
+
 // --- clean patterns ---
 
 // earlyReturnGuard is the fabric's pervasive drop idiom: the Release is
@@ -158,6 +262,23 @@ func loopGuarded(p *frame.Pool, n int, drop bool) {
 		}
 		SendFrame(0, fb)
 	}
+}
+
+// loopVarRebind declares a fresh frame each iteration with var.
+func loopVarRebind(p *frame.Pool, n int) {
+	for i := 0; i < n; i++ {
+		var fb = p.Get(64)
+		SendFrame(0, fb)
+	}
+}
+
+// privatizeInPlace rebinds the derived slice to a private copy before
+// the Release.
+func privatizeInPlace(fb *frame.Buf) byte {
+	b := fb.Bytes()
+	b = append([]byte(nil), b...)
+	fb.Release()
+	return b[0]
 }
 
 // returnHandoff passes ownership to the caller; not a leak.

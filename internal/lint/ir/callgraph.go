@@ -3,6 +3,7 @@ package ir
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 )
 
@@ -87,7 +88,13 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 // reach their fixpoint. Visit order is deterministic (position order
 // within and across components).
 func (cg *CallGraph) BottomUp(visit func(fn *types.Func, decl *ast.FuncDecl) bool) {
-	for _, scc := range cg.sccs() {
+	fns := make([]*types.Func, 0, len(cg.Decls))
+	for fn := range cg.Decls {
+		fns = append(fns, fn)
+	}
+	sort.Slice(fns, func(i, j int) bool { return fns[i].Pos() < fns[j].Pos() })
+	callees := func(fn *types.Func) []*types.Func { return cg.Callees[fn] }
+	for _, scc := range SCCs(fns, callees) {
 		for changed := true; changed; {
 			changed = false
 			for _, fn := range scc {
@@ -95,58 +102,48 @@ func (cg *CallGraph) BottomUp(visit func(fn *types.Func, decl *ast.FuncDecl) boo
 					changed = true
 				}
 			}
-			if len(scc) == 1 && !cg.selfRecursive(scc[0]) {
+			if len(scc) == 1 && !slices.Contains(cg.Callees[scc[0]], scc[0]) {
 				break // no cycle: one pass suffices
 			}
 		}
 	}
 }
 
-func (cg *CallGraph) selfRecursive(fn *types.Func) bool {
-	for _, c := range cg.Callees[fn] {
-		if c == fn {
-			return true
-		}
+// SCCs returns the strongly connected components of the graph whose
+// vertices are nodes and whose edges are given by succs (Tarjan's
+// algorithm). Components come in reverse topological order — every
+// component precedes the components that reach it, so a call graph is
+// condensed callees-first. The search starts from nodes in the caller's
+// order and each component lists its members in that order, so a sorted
+// node list gives a deterministic result. succs must only return members
+// of nodes.
+func SCCs[N comparable](nodes []N, succs func(N) []N) [][]N {
+	rank := make(map[N]int, len(nodes))
+	for i, n := range nodes {
+		rank[n] = i
 	}
-	return false
-}
+	index := map[N]int{}
+	low := map[N]int{}
+	onStack := map[N]bool{}
+	var stack []N
+	var out [][]N
 
-// sccs returns the condensation of the call graph in reverse topological
-// (callees-first) order, deterministically: Tarjan's algorithm over
-// functions sorted by declaration position.
-func (cg *CallGraph) sccs() [][]*types.Func {
-	fns := make([]*types.Func, 0, len(cg.Decls))
-	for fn := range cg.Decls {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i].Pos() < fns[j].Pos() })
-
-	index := map[*types.Func]int{}
-	low := map[*types.Func]int{}
-	onStack := map[*types.Func]bool{}
-	var stack []*types.Func
-	var out [][]*types.Func
-	next := 0
-
-	var strongconnect func(v *types.Func)
-	strongconnect = func(v *types.Func) {
-		index[v] = next
-		low[v] = next
-		next++
+	var strongconnect func(v N)
+	strongconnect = func(v N) {
+		index[v] = len(index)
+		low[v] = index[v]
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, w := range cg.Callees[v] {
+		for _, w := range succs(v) {
 			if _, seen := index[w]; !seen {
 				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
 		if low[v] == index[v] {
-			var scc []*types.Func
+			var scc []N
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -156,13 +153,13 @@ func (cg *CallGraph) sccs() [][]*types.Func {
 					break
 				}
 			}
-			sort.Slice(scc, func(i, j int) bool { return scc[i].Pos() < scc[j].Pos() })
+			sort.Slice(scc, func(i, j int) bool { return rank[scc[i]] < rank[scc[j]] })
 			out = append(out, scc)
 		}
 	}
-	for _, fn := range fns {
-		if _, seen := index[fn]; !seen {
-			strongconnect(fn)
+	for _, n := range nodes {
+		if _, seen := index[n]; !seen {
+			strongconnect(n)
 		}
 	}
 	return out

@@ -15,14 +15,13 @@ type Lattice[F any] struct {
 	Clone func(F) F
 }
 
-// A Problem is one dataflow analysis over a CFG: a direction (the solver
-// picks it by calling Forward or Backward), a boundary fact, and a
-// per-element transfer function.
+// A Problem is one forward dataflow analysis over a CFG: a boundary fact
+// and a per-element transfer function.
 type Problem[F any] struct {
 	Lattice  Lattice[F]
-	Boundary F // fact at Entry (forward) or Exit (backward)
+	Boundary F // fact at Entry
 	// Transfer folds one element into the fact. The solver applies it to
-	// every element of a block in order (forward) or reverse (backward).
+	// every element of a block in order.
 	Transfer func(elem ast.Node, f F) F
 }
 
@@ -31,40 +30,22 @@ type Problem[F any] struct {
 // Facts propagate only along reachable paths: a block never reached from
 // Entry keeps the zero fact and reachable[b] is false.
 func Forward[F any](cfg *CFG, p Problem[F]) (in map[*Block]F, reachable map[*Block]bool) {
-	return solve(cfg, p, false)
-}
+	in = make(map[*Block]F, len(cfg.Blocks))
+	reachable = make(map[*Block]bool, len(cfg.Blocks))
+	in[cfg.Entry] = p.Lattice.Clone(p.Boundary)
+	reachable[cfg.Entry] = true
 
-// Backward solves the problem against the edges and returns each block's
-// OUT fact — the fact that holds just after the block's last element.
-func Backward[F any](cfg *CFG, p Problem[F]) (out map[*Block]F, reachable map[*Block]bool) {
-	return solve(cfg, p, true)
-}
-
-func solve[F any](cfg *CFG, p Problem[F], backward bool) (map[*Block]F, map[*Block]bool) {
-	in := make(map[*Block]F, len(cfg.Blocks))
-	seen := make(map[*Block]bool, len(cfg.Blocks))
-	start := cfg.Entry
-	if backward {
-		start = cfg.Exit
-	}
-	in[start] = p.Lattice.Clone(p.Boundary)
-	seen[start] = true
-
-	work := []*Block{start}
-	queued := map[*Block]bool{start: true}
+	work := []*Block{cfg.Entry}
+	queued := map[*Block]bool{cfg.Entry: true}
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
 		queued[b] = false
 
-		out := FoldBlock(b, p, p.Lattice.Clone(in[b]), backward)
-		next := b.Succs
-		if backward {
-			next = b.Preds
-		}
-		for _, s := range next {
+		out := FoldBlock(b, p, p.Lattice.Clone(in[b]))
+		for _, s := range b.Succs {
 			var merged F
-			if !seen[s] {
+			if !reachable[s] {
 				merged = p.Lattice.Clone(out)
 			} else {
 				merged = p.Lattice.Join(in[s], out)
@@ -73,27 +54,21 @@ func solve[F any](cfg *CFG, p Problem[F], backward bool) (map[*Block]F, map[*Blo
 				}
 			}
 			in[s] = merged
-			seen[s] = true
+			reachable[s] = true
 			if !queued[s] {
 				queued[s] = true
 				work = append(work, s)
 			}
 		}
 	}
-	return in, seen
+	return in, reachable
 }
 
 // FoldBlock applies the problem's transfer to every element of b starting
-// from fact, in block order (or reverse for a backward problem), and
-// returns the resulting fact. Analyzers use it to replay a solved block
-// and interrogate the fact at a specific element.
-func FoldBlock[F any](b *Block, p Problem[F], fact F, backward bool) F {
-	if backward {
-		for i := len(b.Elems) - 1; i >= 0; i-- {
-			fact = p.Transfer(b.Elems[i], fact)
-		}
-		return fact
-	}
+// from fact, in block order, and returns the resulting fact. Analyzers use
+// it to replay a solved block and interrogate the fact at a specific
+// element.
+func FoldBlock[F any](b *Block, p Problem[F], fact F) F {
 	for _, e := range b.Elems {
 		fact = p.Transfer(e, fact)
 	}

@@ -1,17 +1,18 @@
 // Package ir is the hydralint analyzers' intermediate representation: a
-// per-function control-flow graph with def-use chains, a lattice-
-// parameterized worklist dataflow solver, and a package call graph with a
-// bottom-up summary pass. Like the rest of the lint suite it builds from
-// the standard library alone (go/ast + go/types, no x/tools).
+// per-function control-flow graph, a lattice-parameterized forward
+// worklist dataflow solver, and a package call graph with a Tarjan SCC
+// pass and a bottom-up summary walk. Like the rest of the lint suite it
+// builds from the standard library alone (go/ast + go/types, no x/tools).
 //
-// The purely syntactic analyses that guarded the simulator through PR 7 —
-// "Lock earlier in this function", "Release earlier in this block" — go
-// blind the moment control flow branches or a fact crosses a call
-// boundary. This package is the machinery that replaces those heuristics
-// with proofs: the determinism analyzer's locked-region fence, the
-// lockorder analyzer's acquisition graph, and the framepool analyzer's
-// interprocedural ownership summaries are all dataflow problems over the
-// CFGs built here.
+// Syntactic analyses — "Lock earlier in this function", "Release earlier
+// in this block" — go blind the moment control flow branches or a fact
+// crosses a call boundary. This package is the machinery that replaces
+// those heuristics with proofs: the lockorder analyzer's held-lock
+// analysis and the framepool analyzer's ownership analysis are forward
+// may-problems over the CFGs built here; framepool's ownership summaries
+// and lockorder's callee summaries come from the bottom-up call-graph
+// walk, lockorder's cycle report from the same SCC pass, and zeroalloc
+// follows the call graph's edges from its roots.
 //
 // # Graph shape
 //

@@ -235,54 +235,16 @@ func bothBranches() { if c { m.Lock() } else { m.Lock() }; probe(); m.Unlock() }
 	}
 }
 
-func TestDefUseChains(t *testing.T) {
-	src := `package p
-var c bool
-func g() int { return 1 }
-func target() int {
-	x := 1
-	if c {
-		x = 2
+func TestSCCs(t *testing.T) {
+	// a → b → c → a is one component, d → d a self-loop, e → a a
+	// singleton that reaches the cycle.
+	succs := map[string][]string{
+		"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"d"}, "e": {"a"},
 	}
-	y := x
-	x = 3
-	return x + y
-}`
-	fd, info, _, fset := parseFunc(t, src, "target")
-	cfg := Build(fd.Body)
-	du := BuildDefUse(cfg, fd, info)
-
-	// Find the use of x in `y := x`: two defs reach it (lines 5 and 7).
-	// The use in `return x + y` sees exactly one (line 10's x = 3).
-	counts := map[int]int{} // use line -> reaching def count
-	for id, defs := range du.Reaching {
-		if id.Name != "x" {
-			continue
-		}
-		counts[fset.Position(id.Pos()).Line] = len(defs)
-	}
-	if counts[9] != 2 {
-		t.Errorf("use of x at line 9 reached by %d defs, want 2", counts[9])
-	}
-	if counts[11] != 1 {
-		t.Errorf("use of x at line 11 reached by %d defs, want 1", counts[11])
-	}
-}
-
-func TestDefUseParamEntryDef(t *testing.T) {
-	src := `package p
-func target(n int) int { return n }`
-	fd, info, _, _ := parseFunc(t, src, "target")
-	cfg := Build(fd.Body)
-	du := BuildDefUse(cfg, fd, info)
-	found := false
-	for id, defs := range du.Reaching {
-		if id.Name == "n" && len(defs) == 1 && defs[0] == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("param use not chained to the entry definition (token.NoPos)")
+	got := SCCs([]string{"e", "a", "b", "c", "d"}, func(n string) []string { return succs[n] })
+	want := "[[a b c] [e] [d]]" // callees first, members in node order
+	if fmt.Sprint(got) != want {
+		t.Errorf("SCCs = %v, want %v", got, want)
 	}
 }
 

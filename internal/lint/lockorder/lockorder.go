@@ -403,17 +403,27 @@ func (a *analysis) lockClass(mutexExpr ast.Expr) string {
 // classes, or a self-edge (one class acquired while an instance of the
 // same class is held).
 func (a *analysis) reportCycles() {
-	adj := map[string]map[string]bool{}
+	adj := map[string][]string{}
 	for _, e := range a.edges {
-		if adj[e.from] == nil {
-			adj[e.from] = map[string]bool{}
+		adj[e.from] = append(adj[e.from], e.to)
+		if _, ok := adj[e.to]; !ok {
+			adj[e.to] = nil
 		}
-		adj[e.from][e.to] = true
 	}
-	comp := sccOf(adj)
+	// comp numbers the classes of each component with two or more
+	// members; classes in singleton components map to 0.
+	comp := map[string]int{}
+	succs := func(c string) []string { return adj[c] }
+	for i, scc := range ir.SCCs(sortedKeys(adj), succs) {
+		if len(scc) > 1 {
+			for _, c := range scc {
+				comp[c] = i + 1
+			}
+		}
+	}
 	reported := map[token.Pos]bool{}
 	for _, e := range a.edges {
-		cyclic := e.from == e.to || (comp[e.from] != "" && comp[e.from] == comp[e.to])
+		cyclic := e.from == e.to || (comp[e.from] != 0 && comp[e.from] == comp[e.to])
 		if !cyclic || reported[e.pos] {
 			continue
 		}
@@ -426,81 +436,9 @@ func (a *analysis) reportCycles() {
 	}
 }
 
-// sccOf computes, for each node in a cyclic strongly connected component
-// of size > 1, a canonical component id (the smallest member name).
-// Nodes in singleton components map to "".
-func sccOf(adj map[string]map[string]bool) map[string]string {
-	nodes := map[string]bool{}
-	for from, tos := range adj {
-		nodes[from] = true
-		for to := range tos {
-			nodes[to] = true
-		}
-	}
-	order := make([]string, 0, len(nodes))
-	for n := range nodes {
-		order = append(order, n)
-	}
-	sort.Strings(order)
-
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	next := 0
-	comp := map[string]string{}
-
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		tos := make([]string, 0, len(adj[v]))
-		for to := range adj[v] {
-			tos = append(tos, to)
-		}
-		sort.Strings(tos)
-		for _, w := range tos {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			if len(scc) > 1 {
-				sort.Strings(scc)
-				for _, m := range scc {
-					comp[m] = scc[0]
-				}
-			}
-		}
-	}
-	for _, n := range order {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
-		}
-	}
-	return comp
-}
-
-// sortedKeys lists the held-lock instance keys deterministically.
-func sortedKeys(f held) []string {
+// sortedKeys lists a map's keys (held-lock instances, lock classes)
+// deterministically.
+func sortedKeys[V any](f map[string]V) []string {
 	keys := make([]string, 0, len(f))
 	for k := range f {
 		keys = append(keys, k)

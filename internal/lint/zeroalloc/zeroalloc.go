@@ -34,6 +34,7 @@ import (
 	"go/types"
 
 	"hydranet/internal/lint"
+	"hydranet/internal/lint/ir"
 )
 
 // Analyzer is the zero-allocation checker.
@@ -44,100 +45,53 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	// Map every function object in the package to its declaration, so
-	// static calls can be followed.
-	decls := map[types.Object]*ast.FuncDecl{}
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok {
-				if obj := pass.TypesInfo.Defs[fn.Name]; obj != nil {
-					decls[obj] = fn
-				}
-			}
-		}
-	}
-
-	// Roots: functions annotated //hydralint:zeroalloc.
-	roots := map[types.Object]bool{}
+	// Roots: functions annotated //hydralint:zeroalloc, in declaration
+	// order.
+	cg := ir.BuildCallGraph(pass.Files, pass.TypesInfo, pass.Pkg)
+	var roots []*types.Func
 	for _, file := range pass.Files {
 		idx := lint.IndexDirectives(pass.Fset, file)
 		for _, d := range file.Decls {
 			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
+			if !ok || !lint.FuncDirective(pass.Fset, idx, fn, lint.DirZeroAlloc) {
 				continue
 			}
-			if lint.FuncDirective(pass.Fset, idx, fn, lint.DirZeroAlloc) {
-				roots[pass.TypesInfo.Defs[fn.Name]] = true
+			if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok && cg.Decls[obj] != nil {
+				roots = append(roots, obj)
 			}
 		}
-	}
-	if len(roots) == 0 {
-		return nil
 	}
 
 	// Transitive closure over same-package static calls. via records the
-	// root each function was reached from, for the diagnostic.
-	via := map[types.Object]types.Object{}
-	var queue []types.Object
-	for r := range roots {
+	// root each function was reached from, for the diagnostic: every
+	// root names itself, and a callee shared by several roots names the
+	// first-declared root that reaches it.
+	via := map[*types.Func]*types.Func{}
+	var order []*types.Func
+	for _, r := range roots {
 		via[r] = r
-		queue = append(queue, r)
+		order = append(order, r)
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		fn := decls[cur]
-		if fn == nil || fn.Body == nil {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := staticCallee(pass.TypesInfo, call)
-			if callee == nil || callee.Pkg() != pass.Pkg {
-				return true
-			}
+	var walk func(fn *types.Func)
+	walk = func(fn *types.Func) {
+		for _, callee := range cg.Callees[fn] {
 			if _, seen := via[callee]; !seen {
-				if _, hasBody := decls[callee]; hasBody {
-					via[callee] = via[cur]
-					queue = append(queue, callee)
-				}
+				via[callee] = via[fn]
+				order = append(order, callee)
+				walk(callee)
 			}
-			return true
-		})
+		}
+	}
+	for _, r := range roots {
+		walk(r)
 	}
 
-	for obj, root := range via {
-		fn := decls[obj]
-		if fn == nil || fn.Body == nil {
-			continue
-		}
+	for _, fn := range order {
 		suffix := ""
-		if root != obj {
+		if root := via[fn]; root != fn {
 			suffix = " (on the zeroalloc path of " + root.Name() + ")"
 		}
-		checkFunc(pass, fn, suffix)
-	}
-	return nil
-}
-
-// staticCallee resolves a call to a package-level function or method
-// declared object, or nil for calls through func values and interfaces.
-func staticCallee(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
-			return sel.Obj()
-		}
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f // package-qualified call
-		}
+		checkFunc(pass, cg.Decls[fn], suffix)
 	}
 	return nil
 }
@@ -231,7 +185,8 @@ func checkCall(pass *lint.Pass, fn *ast.FuncDecl, call *ast.CallExpr, suffix str
 	info := pass.TypesInfo
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if obj := info.Uses[sel.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {
-			if _, isPkg := info.Uses[identOf(sel.X)].(*types.PkgName); isPkg {
+			id, _ := sel.X.(*ast.Ident)
+			if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
 				pass.Reportf(call.Pos(), "fmt.%s allocates in zeroalloc function %s%s", obj.Name(), fn.Name.Name, suffix)
 				return // don't double-report its boxed arguments
 			}
@@ -414,10 +369,4 @@ func captures(info *types.Info, lit *ast.FuncLit) string {
 		return true
 	})
 	return name
-}
-
-// identOf unwraps x to its identifier, if it is one.
-func identOf(x ast.Expr) *ast.Ident {
-	id, _ := x.(*ast.Ident)
-	return id
 }
