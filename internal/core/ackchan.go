@@ -38,7 +38,13 @@ var ErrBadChainMsg = errors.New("core: malformed acknowledgment-channel message"
 
 // Marshal encodes the message for the UDP acknowledgment channel.
 func (m *ChainMsg) Marshal() []byte {
-	b := make([]byte, chainMsgLen)
+	var b [chainMsgLen]byte
+	m.encode(&b)
+	return b[:]
+}
+
+// encode writes the message's wire form into b.
+func (m *ChainMsg) encode(b *[chainMsgLen]byte) {
 	b[0] = chainMsgMagic
 	b[1] = chainMsgVersion
 	putU32(b[2:6], uint32(m.Service.Addr))
@@ -47,15 +53,14 @@ func (m *ChainMsg) Marshal() []byte {
 	putU16(b[12:14], m.Client.Port)
 	putU32(b[14:18], uint32(m.SndNxt))
 	putU32(b[18:22], uint32(m.RcvNxt))
-	return b
 }
 
 // UnmarshalChainMsg decodes an acknowledgment-channel datagram.
-func UnmarshalChainMsg(b []byte) (*ChainMsg, error) {
+func UnmarshalChainMsg(b []byte) (ChainMsg, error) {
 	if len(b) != chainMsgLen || b[0] != chainMsgMagic || b[1] != chainMsgVersion {
-		return nil, ErrBadChainMsg
+		return ChainMsg{}, ErrBadChainMsg
 	}
-	return &ChainMsg{
+	return ChainMsg{
 		Service: ServiceID{Addr: ipv4.Addr(getU32(b[2:6])), Port: getU16(b[6:8])},
 		Client:  tcp.Endpoint{Addr: ipv4.Addr(getU32(b[8:12])), Port: getU16(b[12:14])},
 		SndNxt:  tcp.Seq(getU32(b[14:18])),

@@ -17,7 +17,7 @@ func TestChainMsgRoundTrip(t *testing.T) {
 			RcvNxt:  tcp.Seq(rcv),
 		}
 		out, err := UnmarshalChainMsg(in.Marshal())
-		return err == nil && *out == *in
+		return err == nil && out == *in
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -358,7 +358,7 @@ func (p *ReplicatedPort) adopt(c *tcp.Conn) {
 func (p *ReplicatedPort) Conns() int { return len(p.conns) }
 
 // onChainMsg folds successor state into the connection's limits.
-func (p *ReplicatedPort) onChainMsg(msg *ChainMsg) {
+func (p *ReplicatedPort) onChainMsg(msg ChainMsg) {
 	fc := p.conns[msg.Client]
 	if fc == nil {
 		// The successor saw the SYN before we did (multicast races are
@@ -474,9 +474,11 @@ func (fc *ftConn) sendChainMsg(sndNxt, rcvNxt tcp.Seq) {
 			Seq: uint64(sndNxt), Ack: uint64(rcvNxt),
 		})
 	}
+	var wire [chainMsgLen]byte
+	msg.encode(&wire)
 	// Send errors mean no route to the predecessor — the chain is broken
 	// and reconfiguration will handle it; nothing to do here.
-	_ = p.mgr.udpStack.SendTo(p.mgr.hostAddr, AckChannelPort, p.upstream, msg.Marshal()) //nolint:errcheck
+	_ = p.mgr.udpStack.SendTo(p.mgr.hostAddr, AckChannelPort, p.upstream, wire[:]) //nolint:errcheck
 }
 
 // onClientRetransmit is the failure-estimator input (paper Section 4.3):

@@ -68,13 +68,13 @@ func (s *Stack) SendEncap(inner *Packet, host Addr) error {
 		s.stats.NoRoute++
 		return fmt.Errorf("ipv4: no route to %s", host)
 	}
-	outer := Packet{Header: Header{
+	outer := Header{
 		TTL:   DefaultTTL,
 		Proto: ProtoIPIP,
 		Src:   s.Addr(ifindex),
 		Dst:   host,
 		ID:    s.allocID(),
-	}}
+	}
 	innerLen := HeaderLen + len(inner.Payload)
 	total := HeaderLen + innerLen
 	if w := inner.wire; len(w) == innerLen && total <= s.node.MTU(ifindex) {
@@ -90,13 +90,13 @@ func (s *Stack) SendEncap(inner *Packet, host Addr) error {
 		return nil
 	}
 	// Slow path: re-marshal the inner packet and run the outer datagram
-	// through fragmentation.
+	// through fragmentation. Only this path builds a Packet, so the fast
+	// path's header stays on the stack.
 	body, err := inner.Marshal()
 	if err != nil {
 		return err
 	}
-	outer.Payload = body
-	return s.transmit(&outer, ifindex)
+	return s.transmit(&Packet{Header: outer, Payload: body}, ifindex)
 }
 
 // forward routes an already-parsed transit datagram onward. When the

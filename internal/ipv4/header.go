@@ -41,7 +41,7 @@ type Packet struct {
 	Payload []byte
 
 	// wire holds the original marshalled bytes when the packet came off the
-	// fabric via Unmarshal. Forwarding and encapsulation fast paths reuse it
+	// fabric via Parse. Forwarding and encapsulation fast paths reuse it
 	// (patching TTL incrementally) instead of re-marshalling. Like Payload,
 	// it aliases the fabric's frame buffer and is valid only during the
 	// delivery event.
@@ -49,13 +49,13 @@ type Packet struct {
 }
 
 // Wire returns the packet's original wire bytes if it was produced by
-// Unmarshal, else nil. The slice aliases the received frame: it is readable
-// only synchronously within the delivery event, and callers must treat it
-// as immutable except through PatchTTL-style incremental updates applied to
-// a copy.
+// Parse or Unmarshal, else nil. The slice aliases the received frame: it is
+// readable only synchronously within the delivery event, and callers must
+// treat it as immutable except through PatchTTL-style incremental updates
+// applied to a copy.
 func (p *Packet) Wire() []byte { return p.wire }
 
-// Errors returned by Unmarshal.
+// Errors returned by Parse and Unmarshal.
 var (
 	ErrTruncated   = errors.New("ipv4: truncated packet")
 	ErrBadVersion  = errors.New("ipv4: not an IPv4 packet")
@@ -87,54 +87,66 @@ func (p *Packet) checkMarshal(total int) error {
 }
 
 // putHeader writes the 20-byte wire header (with checksum) into b[:HeaderLen].
-func (p *Packet) putHeader(b []byte, total int) {
+func (h *Header) putHeader(b []byte, total int) {
 	b[0] = 0x45 // version 4, IHL 5
-	b[1] = p.TOS
+	b[1] = h.TOS
 	b[2] = byte(total >> 8)
 	b[3] = byte(total)
-	b[4] = byte(p.ID >> 8)
-	b[5] = byte(p.ID)
-	frag := uint16(p.FragOff / 8)
-	if p.DontFrag {
+	b[4] = byte(h.ID >> 8)
+	b[5] = byte(h.ID)
+	frag := uint16(h.FragOff / 8)
+	if h.DontFrag {
 		frag |= flagDF
 	}
-	if p.MoreFrag {
+	if h.MoreFrag {
 		frag |= flagMF
 	}
 	b[6] = byte(frag >> 8)
 	b[7] = byte(frag)
-	b[8] = p.TTL
-	b[9] = p.Proto
+	b[8] = h.TTL
+	b[9] = h.Proto
 	b[10], b[11] = 0, 0 // checksum, zero while summing
-	putAddr(b[12:16], p.Src)
-	putAddr(b[16:20], p.Dst)
+	putAddr(b[12:16], h.Src)
+	putAddr(b[16:20], h.Dst)
 	sum := Checksum(b[:HeaderLen])
 	b[10] = byte(sum >> 8)
 	b[11] = byte(sum)
 }
 
-// Unmarshal parses and validates a wire-format IPv4 packet, verifying the
-// header checksum. The returned packet's payload aliases b.
+// Unmarshal parses and validates a wire-format IPv4 packet into a new
+// Packet. The returned packet's payload aliases b. The receive path parses
+// into stack-owned storage with Parse instead.
 func Unmarshal(b []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := p.Parse(b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Parse parses and validates a wire-format IPv4 packet into p, verifying
+// the header checksum and overwriting every field. p's payload and wire
+// bytes alias b. On error p is left unchanged.
+func (p *Packet) Parse(b []byte) error {
 	if len(b) < HeaderLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if b[0]>>4 != 4 {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < HeaderLen || len(b) < ihl {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if Checksum(b[:ihl]) != 0 {
-		return nil, ErrBadChecksum
+		return ErrBadChecksum
 	}
 	total := int(b[2])<<8 | int(b[3])
 	if total < ihl || total > len(b) {
-		return nil, ErrBadLength
+		return ErrBadLength
 	}
 	frag := uint16(b[6])<<8 | uint16(b[7])
-	p := &Packet{
+	*p = Packet{
 		Header: Header{
 			TOS:      b[1],
 			TotalLen: total,
@@ -150,5 +162,5 @@ func Unmarshal(b []byte) (*Packet, error) {
 		Payload: b[ihl:total],
 		wire:    b[:total],
 	}
-	return p, nil
+	return nil
 }

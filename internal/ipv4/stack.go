@@ -12,7 +12,11 @@ import (
 const DefaultTTL = 64
 
 // ProtocolHandler is implemented by transport layers (TCP, UDP) and by the
-// IP-in-IP decapsulator to receive locally delivered datagrams.
+// IP-in-IP decapsulator to receive locally delivered datagrams. Like the
+// frame bytes netsim hands to HandleFrame, the *Packet is valid only for the
+// duration of DeliverIP: the stack parses every received frame into the
+// same storage, and the packet's Payload aliases the fabric's frame buffer.
+// A handler that keeps any of it must copy.
 type ProtocolHandler interface {
 	DeliverIP(pkt *Packet)
 }
@@ -29,12 +33,14 @@ const (
 )
 
 // ErrorReporter receives IP-layer failures together with the offending
-// packet; the ICMP layer turns them into control messages.
+// packet; the ICMP layer turns them into control messages. As with
+// DeliverIP, the packet is valid only for the duration of the call.
 type ErrorReporter func(reason ErrorReason, offending *Packet)
 
 // ForwardHook lets a router component (the HydraNet redirector) inspect and
 // possibly consume packets in the forwarding path. Returning true means the
-// hook took ownership; the stack will not forward the packet further.
+// hook consumed the packet; the stack will not forward it further. As with
+// DeliverIP, the packet is valid only for the duration of the call.
 type ForwardHook func(pkt *Packet) bool
 
 // StackStats counts datagram dispositions at one stack.
@@ -64,6 +70,7 @@ type Stack struct {
 	fwdHook    ForwardHook
 	reporter   ErrorReporter
 
+	rx    Packet // HandleFrame parses each received frame here
 	stats StackStats
 }
 
@@ -242,8 +249,8 @@ func (s *Stack) transmit(p *Packet, ifindex int) error {
 
 // HandleFrame implements netsim.FrameHandler.
 func (s *Stack) HandleFrame(ifindex int, frame []byte) {
-	p, err := Unmarshal(frame)
-	if err != nil {
+	p := &s.rx
+	if err := p.Parse(frame); err != nil {
 		s.stats.BadHeader++
 		return
 	}

@@ -20,7 +20,8 @@ func (h *countingHandler) HandleFrame(ifindex int, frame []byte) {
 // BenchmarkLinkRoundTrip measures the full fabric cost of delivering one
 // frame across a link: CPU charging, queueing, serialization, propagation
 // and handler dispatch. Its allocs/op is the per-hop allocation budget of
-// every simulated packet.
+// every simulated packet, which is 0 once hop records and frame buffers are
+// warm (TestHopAllocFree pins it).
 func BenchmarkLinkRoundTrip(b *testing.B) {
 	for _, size := range []int{64, 1500} {
 		b.Run(sizeName(size), func(b *testing.B) {

@@ -35,7 +35,7 @@ type domainRT struct {
 	bus   *obs.Bus // per-domain emission target (a view in parallel mode)
 
 	outbox  []handoff // hand-offs sent this window; worker-local
-	arrFree []*pendingArrival
+	hopFree []*hop    // recycled hop records
 
 	handoffs  uint64   // frames handed across domains
 	handoffTo []uint64 // frames handed to each destination domain
@@ -53,37 +53,6 @@ type handoff struct {
 	ifindex int32
 	node    *Node
 	fb      *frame.Buf
-}
-
-// pendingArrival is a recycled delivery record: its cached fire closure
-// keeps the exchange path allocation-free in steady state.
-type pendingArrival struct {
-	dom     *domainRT
-	node    *Node
-	ifindex int
-	fb      *frame.Buf
-	fireFn  func()
-}
-
-func (pa *pendingArrival) fire() {
-	node, ifindex, fb := pa.node, pa.ifindex, pa.fb
-	pa.node = nil
-	pa.fb = nil
-	d := pa.dom
-	d.arrFree = append(d.arrFree, pa)
-	node.deliver(ifindex, fb)
-}
-
-func (d *domainRT) getArrival() *pendingArrival {
-	if k := len(d.arrFree); k > 0 {
-		pa := d.arrFree[k-1]
-		d.arrFree[k-1] = nil
-		d.arrFree = d.arrFree[:k-1]
-		return pa
-	}
-	pa := &pendingArrival{dom: d}
-	pa.fireFn = pa.fire
-	return pa
 }
 
 // SetDomains partitions the network for conservative parallel execution:
@@ -273,15 +242,14 @@ func (n *Network) ExchangeHandoffs() {
 				dd.ties++
 			}
 		}
-		pa := dd.getArrival()
-		pa.node = e.node
-		pa.ifindex = int(e.ifindex)
-		pa.fb = dd.pool.GetCopy(e.fb.Bytes())
+		h := dd.getHop()
+		h.stage, h.node, h.ifindex = hopArrive, e.node, int(e.ifindex)
+		h.fb = dd.pool.GetCopy(e.fb.Bytes())
 		e.fb.Release()
 		// AtBirthFrom carries the sender event's causal depth across the
 		// domain boundary, so a profiled run's critical path matches the
 		// chain a serial scheduler would have recorded.
-		dd.sched.AtBirthFrom(e.arrive, e.birth, e.depth, pa.fireFn)
+		dd.sched.AtBirthFrom(e.arrive, e.birth, e.depth, h.fireFn)
 	}
 	clear(all)
 	n.exchange = all[:0]

@@ -321,37 +321,74 @@ func (nd *Node) SendFrame(ifindex int, fb *frame.Buf) {
 		return
 	}
 	nd.sent++
-	nd.cpu(fb.Len(), func() {
-		if !nd.alive {
-			fb.Release()
-			return
-		}
-		ifc.link.transmit(ifc.side, fb)
-	})
+	h := nd.dom.getHop()
+	h.stage, h.node, h.link, h.side, h.fb = hopSend, nd, ifc.link, ifc.side, fb
+	nd.cpu(h)
 }
 
-// cpu runs fn after the node's serial CPU has spent the frame's processing
-// cost (fixed plus per-byte). fn always runs, even if the node crashed in
-// the meantime: callbacks that carry pooled frames must get the chance to
-// release them, so liveness checks belong inside fn.
-func (nd *Node) cpu(size int, fn func()) {
+// cpu schedules h's next stage for when the node's serial CPU has spent the
+// frame's processing cost (fixed plus per-byte). The stage always fires,
+// even if the node crashed in the meantime: the record carries a pooled
+// frame that must get the chance to be released, so liveness checks belong
+// to the stage itself.
+func (nd *Node) cpu(h *hop) {
 	s := nd.dom.sched
 	start := s.Now()
 	if nd.cpuFree > start {
 		start = nd.cpuFree
 	}
-	nd.cpuFree = start + nd.procDelay + time.Duration(size)*nd.procPerByte
-	s.At(nd.cpuFree, fn)
+	nd.cpuFree = start + nd.procDelay + time.Duration(h.fb.Len())*nd.procPerByte
+	s.At(nd.cpuFree, h.fireFn)
 }
 
-// deliver is called by a link when a frame arrives at this node. It owns fb
-// and releases it after the handler returns (or on any drop path).
-func (nd *Node) deliver(ifindex int, fb *frame.Buf) {
-	if !nd.alive {
-		fb.Release()
-		return
-	}
-	nd.cpu(fb.Len(), func() {
+// hopStage names what a hop record does when its event fires.
+type hopStage uint8
+
+const (
+	hopSend    hopStage = iota // sender's CPU done: hand the frame to the link
+	hopDrain                   // frame serialized: free its transmit-queue bytes
+	hopArrive                  // frame reached the far end: charge the receiver's CPU
+	hopDeliver                 // receiver's CPU done: run the frame handler
+)
+
+// hop is one pending stage of a frame's trip through the fabric. A frame
+// keeps one record from SendFrame to its handler, advancing the stage in
+// place; the transmit-queue drain takes a second record. Records recycle
+// through their domain's free list and carry a cached fire method value, so
+// a hop schedules its four events without allocating.
+type hop struct {
+	dom     *domainRT // whose scheduler runs the record and whose list recycles it
+	stage   hopStage
+	node    *Node      // sender (hopSend), receiver (hopArrive, hopDeliver)
+	link    *Link      // hopSend, hopDrain
+	side    int        // sending side of link
+	ifindex int        // arrival interface (hopArrive, hopDeliver)
+	size    int        // hopDrain: bytes leaving the transmit queue
+	fb      *frame.Buf // nil for hopDrain
+	fireFn  func()
+}
+
+func (h *hop) fire() {
+	switch h.stage {
+	case hopSend:
+		if !h.node.alive {
+			h.drop()
+			return
+		}
+		h.link.transmit(h)
+	case hopDrain:
+		h.link.backlog[h.side] -= h.size
+		h.dom.putHop(h)
+	case hopArrive:
+		if !h.node.alive {
+			h.drop()
+			return
+		}
+		h.stage = hopDeliver
+		h.node.cpu(h)
+	case hopDeliver:
+		nd, ifindex, fb := h.node, h.ifindex, h.fb
+		h.dom.putHop(h)
 		if !nd.alive {
 			fb.Release()
 			return
@@ -361,7 +398,30 @@ func (nd *Node) deliver(ifindex int, fb *frame.Buf) {
 			nd.handler.HandleFrame(ifindex, fb.Bytes())
 		}
 		fb.Release()
-	})
+	}
+}
+
+// drop releases the record's frame and recycles the record.
+func (h *hop) drop() {
+	h.fb.Release()
+	h.dom.putHop(h)
+}
+
+func (d *domainRT) getHop() *hop {
+	if k := len(d.hopFree); k > 0 {
+		h := d.hopFree[k-1]
+		d.hopFree[k-1] = nil
+		d.hopFree = d.hopFree[:k-1]
+		return h
+	}
+	h := &hop{dom: d}
+	h.fireFn = h.fire
+	return h
+}
+
+func (d *domainRT) putHop(h *hop) {
+	h.node, h.link, h.fb = nil, nil, nil
+	d.hopFree = append(d.hopFree, h)
 }
 
 type endpoint struct {
@@ -411,16 +471,18 @@ func (l *Link) serialization(size int) time.Duration {
 	return time.Duration(bits * int64(time.Second) / l.cfg.Rate)
 }
 
-// transmit queues a frame for transmission from the given side. It owns fb:
-// drop paths release it, and delivery hands it to the destination node.
+// transmit queues h's frame for transmission from h.side. It owns the
+// record and its frame: drop paths release both, and delivery re-schedules
+// the record as the frame's arrival.
 //
 // The whole path runs in the sending node's domain: each direction's
 // transmitter state (txFree, backlog, stats) is touched only by that side's
 // domain, so the two directions of a cross-domain link never race. Delivery
 // to a node in another domain goes into the sender's hand-off outbox, which
 // the next barrier exchanges, instead of a direct scheduler insertion.
-func (l *Link) transmit(side int, fb *frame.Buf) {
-	sd := l.ends[side].node.dom
+func (l *Link) transmit(h *hop) {
+	side, fb := h.side, h.fb
+	sd := h.dom
 	s := sd.sched
 	size := fb.Len()
 	if l.backlog[side]+size > l.cfg.QueueBytes {
@@ -431,7 +493,7 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 				Detail: "→" + l.ends[1-side].node.name,
 			})
 		}
-		fb.Release()
+		h.drop()
 		return
 	}
 	if l.cfg.Loss > 0 && s.Rand().Float64() < l.cfg.Loss {
@@ -442,7 +504,7 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 				Detail: "→" + l.ends[1-side].node.name,
 			})
 		}
-		fb.Release()
+		h.drop()
 		return
 	}
 	l.backlog[side] += size
@@ -459,14 +521,18 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 	}
 	// The frame leaves the transmit queue once serialized; propagation
 	// happens "on the wire" and does not hold queue space.
-	s.At(done, func() { l.backlog[side] -= size })
+	drain := sd.getHop()
+	drain.stage, drain.link, drain.side, drain.size = hopDrain, l, side, size
+	s.At(done, drain.fireFn)
 	arrive := done + l.cfg.Delay
 	if l.cfg.Jitter > 0 {
 		arrive += time.Duration(s.Rand().Int63n(int64(l.cfg.Jitter) + 1))
 	}
 	if dst.node.dom != sd {
 		sd.handoffFrame(arrive, dst, fb)
+		sd.putHop(h)
 		return
 	}
-	s.At(arrive, func() { dst.node.deliver(dst.ifindex, fb) })
+	h.stage, h.node, h.ifindex = hopArrive, dst.node, dst.ifindex
+	s.At(arrive, h.fireFn)
 }

@@ -45,15 +45,6 @@ type Entry struct {
 	Targets []Target
 }
 
-// replicas returns every host the entry redirects to in FT mode.
-func (e *Entry) replicas() []ipv4.Addr {
-	out := make([]ipv4.Addr, 0, 1+len(e.Backups))
-	if e.Primary != 0 {
-		out = append(out, e.Primary)
-	}
-	return append(out, e.Backups...)
-}
-
 // Stats counts redirector activity.
 type Stats struct {
 	Redirected      uint64 // packets matched and tunneled (scaling mode)
@@ -226,7 +217,6 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 	}
 	if e.FT {
 		r.stats.Multicast++
-		replicas := e.replicas()
 		if b := r.bus; b.Enabled(obs.KindMulticast) {
 			// Conn identifies the client flow and Seq carries the raw TCP
 			// sequence number: because ft-TCP derives the ISS from the
@@ -236,7 +226,10 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 			ev := obs.Event{
 				Kind: obs.KindMulticast, Node: r.nodeName(),
 				Service: ServiceKey{Addr: p.Dst, Port: dstPort}.String(),
-				Size:    len(replicas),
+				Size:    len(e.Backups),
+			}
+			if e.Primary != 0 {
+				ev.Size++
 			}
 			srcPort := uint16(p.Payload[0])<<8 | uint16(p.Payload[1])
 			ev.Conn = fmt.Sprintf("%s:%d", p.Src, srcPort)
@@ -252,7 +245,13 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 			}
 			b.Publish(ev)
 		}
-		for _, host := range replicas {
+		// Every replica gets a copy, the primary (when set) first, then the
+		// backups in chain order.
+		if e.Primary != 0 {
+			r.tunnel(p, e.Primary)
+			r.stats.MulticastCopies++
+		}
+		for _, host := range e.Backups {
 			r.tunnel(p, host)
 			r.stats.MulticastCopies++
 		}

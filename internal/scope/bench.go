@@ -68,12 +68,19 @@ func IsBenchFile(path string) bool {
 	return len(bf.Entries) > 0
 }
 
-// DiffBench compares two bench results on the deterministic fields only —
+// allocsFloor is the smallest rise in allocs/event DiffBench reports. Serial
+// runs repeat allocs/event to within 0.001 (per-simulation warm-up of pools,
+// hop records and scheduler nodes varies slightly with GC timing), while a
+// single allocation per frame hop would add about 0.25.
+const allocsFloor = 0.01
+
+// DiffBench compares two bench results on the deterministic fields —
 // throughput, scheduler events and fabric frames — within relative
-// tolerance tol. Wall time, events/sec and allocs/event are machine
-// facts, not simulation facts, and are ignored. Mismatched run parameters
-// (total bytes, seed, parallelism) are findings: the comparison would be
-// meaningless.
+// tolerance tol, and gates allocs/event one way: a rise in B by more than
+// tol relative to A, and by more than allocsFloor, is a finding; a drop
+// never is. Wall time and events/sec are machine facts, not simulation
+// facts, and are ignored. Mismatched run parameters (total bytes, seed,
+// parallelism) are findings: the comparison would be meaningless.
 func DiffBench(a, b *BenchFile, tol float64) []Finding {
 	var out []Finding
 	if a.TotalBytes != b.TotalBytes || a.Seed != b.Seed || a.Parallel != b.Parallel {
@@ -108,6 +115,10 @@ func DiffBench(a, b *BenchFile, tol float64) []Finding {
 		check("throughput", ea.ThroughputKBps, eb.ThroughputKBps)
 		check("events", float64(ea.Events), float64(eb.Events))
 		check("frames", float64(ea.Frames), float64(eb.Frames))
+		if rise := eb.AllocsPerEvent - ea.AllocsPerEvent; rise > allocsFloor && rise > tol*ea.AllocsPerEvent {
+			out = append(out, Finding{Series: label, Field: "allocs_per_event",
+				A: ea.AllocsPerEvent, B: eb.AllocsPerEvent, Rel: relDiff(ea.AllocsPerEvent, eb.AllocsPerEvent)})
+		}
 	}
 	for _, eb := range b.Entries {
 		if k := (key{eb.Case, eb.BufLen}); !seen[k] {

@@ -138,6 +138,24 @@ func TestDiffBench(t *testing.T) {
 	if len(f) != 1 || f[0].Field != "events" {
 		t.Fatalf("findings=%v", f)
 	}
+	b.Entries[0].Events = 1000
+	// allocs/event is gated one way, above an absolute floor.
+	a.Entries[0].AllocsPerEvent = 0.03
+	for _, c := range []struct {
+		b    float64
+		flag bool
+	}{
+		{0.001, false}, // a drop is never a finding
+		{0.035, false}, // a rise within the floor
+		{0.05, true},   // a rise past tol and the floor
+		{2.27, true},   // one closure per hop
+	} {
+		b.Entries[0].AllocsPerEvent = c.b
+		f = DiffBench(a, b, 0.01)
+		if got := len(f) == 1 && f[0].Field == "allocs_per_event"; got != c.flag || (!c.flag && len(f) != 0) {
+			t.Errorf("allocs/event %.3f -> %.3f: findings=%v, want flagged=%v", 0.03, c.b, f, c.flag)
+		}
+	}
 	// Parameter mismatch refuses the comparison.
 	b.Seed = 2
 	f = DiffBench(a, b, 0.01)

@@ -43,14 +43,14 @@ type Data struct {
 // Data exports the series.
 func (s *Series) Data() Data {
 	return Data{
-		Name:  s.name,
-		Kind:  s.kind.String(),
-		Unit:  s.unit,
-		Count: s.count,
-		Total: s.total,
-		Mean:  s.Mean(),
-		Max:   s.max,
-		Last:  s.last,
+		Name:   s.name,
+		Kind:   s.kind.String(),
+		Unit:   s.unit,
+		Count:  s.count,
+		Total:  s.total,
+		Mean:   s.Mean(),
+		Max:    s.max,
+		Last:   s.last,
 		Points: s.Points(make([]Point, 0, s.n)),
 	}
 }

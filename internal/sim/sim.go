@@ -33,7 +33,6 @@ type eventNode struct {
 	gen       uint64
 	depth     uint64 // causal depth (parent's depth + 1); 0 unless profiling
 	s         *Scheduler
-	index     int32 // heap index; -1 once removed
 	cancelled bool
 }
 
@@ -166,9 +165,8 @@ func (s *Scheduler) AtBirth(t, birth time.Duration, fn func()) Event {
 		n.depth = 0
 	}
 	s.nextSeq++
-	n.index = int32(len(s.heap))
 	s.heap = append(s.heap, n)
-	s.siftUp(int(n.index))
+	s.siftUp(len(s.heap) - 1)
 	return Event{n: n, gen: n.gen}
 }
 
@@ -373,7 +371,6 @@ func (s *Scheduler) peek() *eventNode {
 func (s *Scheduler) recycle(n *eventNode) {
 	n.gen++
 	n.fn = nil
-	n.index = -1
 	n.cancelled = false
 	s.free = append(s.free, n)
 }
@@ -399,9 +396,6 @@ func (s *Scheduler) maybeCompact() {
 	}
 	s.heap = live
 	s.dead = 0
-	for i := range s.heap {
-		s.heap[i].index = int32(i)
-	}
 	for i := len(s.heap)/2 - 1; i >= 0; i-- {
 		s.siftDown(i)
 	}
@@ -428,8 +422,6 @@ func (s *Scheduler) less(i, j int) bool {
 
 func (s *Scheduler) swap(i, j int) {
 	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.heap[i].index = int32(i)
-	s.heap[j].index = int32(j)
 }
 
 func (s *Scheduler) siftUp(i int) {
@@ -468,13 +460,11 @@ func (s *Scheduler) popRoot() *eventNode {
 	n := s.heap[0]
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
-	s.heap[0].index = 0
 	s.heap[last] = nil
 	s.heap = s.heap[:last]
 	if last > 0 {
 		s.siftDown(0)
 	}
-	n.index = -1
 	return n
 }
 

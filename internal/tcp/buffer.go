@@ -5,17 +5,19 @@ import "sort"
 // sendBuffer holds the outbound byte stream: acknowledged bytes are trimmed
 // from the front; the application appends at the back.
 type sendBuffer struct {
-	base Seq // sequence number of data[0]
-	data []byte
-	cap  int
+	base    Seq // sequence number of data[0]
+	data    []byte
+	dataArr []byte // data's backing array (see fifoRoom)
+	cap     int
 
 	// marking preserves application write boundaries: when set, each
 	// append records the end of the write, and bytesFrom never returns a
 	// chunk crossing a mark. This models the paper's measurement setup,
 	// where batching of small segments was turned off so that every ttcp
 	// write travels as its own segment.
-	marking bool
-	marks   []Seq // ends of writes, ascending
+	marking  bool
+	marks    []Seq // ends of writes, ascending
+	marksArr []Seq // marks' backing array
 }
 
 func newSendBuffer(capacity int) *sendBuffer {
@@ -34,8 +36,10 @@ func (b *sendBuffer) append(p []byte) int {
 	if n > len(p) {
 		n = len(p)
 	}
+	b.data, b.dataArr = fifoRoom(b.data, b.dataArr, n)
 	b.data = append(b.data, p[:n]...)
 	if b.marking && n > 0 {
+		b.marks, b.marksArr = fifoRoom(b.marks, b.marksArr, 1)
 		b.marks = append(b.marks, b.endSeq())
 	}
 	return n
@@ -70,16 +74,33 @@ func (b *sendBuffer) bytesFrom(seq Seq, maxLen int) []byte {
 		end = len(b.data)
 	}
 	if b.marking {
-		for _, m := range b.marks {
-			if m.GT(seq) {
-				if boundary := m.Diff(b.base); boundary < end {
-					end = boundary
-				}
-				break
+		// marks ascend, so the first one past seq bounds the chunk.
+		if i := sort.Search(len(b.marks), func(i int) bool { return b.marks[i].GT(seq) }); i < len(b.marks) {
+			if boundary := b.marks[i].Diff(b.base); boundary < end {
+				end = boundary
 			}
 		}
 	}
 	return b.data[off:end]
+}
+
+// fifoRoom makes room for n more elements at the end of q, a FIFO window
+// that is consumed from the front by reslicing, and returns the window and
+// its backing array arr. When q's array has no room past its end, the
+// unread elements first slide to the front of arr, which is replaced by one
+// twice the needed size if it is shorter than that. A FIFO whose length
+// stays bounded so keeps reusing one array, and each slide is followed by at
+// least as much room as it copied. Appending up to n elements to the
+// returned window never reallocates.
+func fifoRoom[T any](q, arr []T, n int) (window, backing []T) {
+	need := len(q) + n
+	if need <= cap(q) {
+		return q, arr
+	}
+	if cap(arr) < 2*need {
+		arr = make([]T, 0, 2*need)
+	}
+	return append(arr[:0], q...), arr[:0]
 }
 
 // endSeq returns the sequence number one past the last buffered byte.
@@ -90,12 +111,13 @@ func (b *sendBuffer) free() int { return b.cap - len(b.data) }
 
 // oooRange is a received, not-yet-deposited run of bytes. data initially
 // aliases the delivered segment's payload (which in turn aliases a pooled
-// fabric frame); owned marks ranges that have been copied into private
-// memory because they outlived the delivery event.
+// fabric frame); own is set once the range has been copied into private
+// memory because it outlived the delivery event, and is that copy's whole
+// array (data may be trimmed from its front).
 type oooRange struct {
-	seq   Seq
-	data  []byte
-	owned bool
+	seq  Seq
+	data []byte
+	own  []byte
 }
 
 // receiver tracks the inbound stream: out-of-order (and deposit-gated)
@@ -108,7 +130,9 @@ type oooRange struct {
 type receiver struct {
 	rcvNxt    Seq // next byte to deposit == ACK number we advertise
 	pending   []oooRange
+	spare     [][]byte // arrays of deposited private copies, for reuse
 	deposited []byte
+	depArr    []byte // deposited's backing array (see fifoRoom)
 	cap       int
 	finSeq    Seq // sequence number of a received FIN, valid if finSet
 	finSet    bool
@@ -159,8 +183,15 @@ func (r *receiver) insert(seq Seq, data []byte) bool {
 			break
 		}
 	}
-	r.pending = append(r.pending, oooRange{seq: seq, data: data})
-	sort.SliceStable(r.pending, func(i, j int) bool { return r.pending[i].seq.LT(r.pending[j].seq) })
+	// pending is sorted by seq; place the new range after every range that
+	// does not start above it, walking from the tail (arrivals are mostly
+	// in order, so the walk is usually empty).
+	i := len(r.pending)
+	r.pending = append(r.pending, oooRange{})
+	for ; i > 0 && seq.LT(r.pending[i-1].seq); i-- {
+		r.pending[i] = r.pending[i-1]
+	}
+	r.pending[i] = oooRange{seq: seq, data: data}
 	return covered == 0
 }
 
@@ -171,11 +202,27 @@ func (r *receiver) insert(seq Seq, data []byte) bool {
 // (ft-TCP) ranges that genuinely outlive the frame do.
 func (r *receiver) privatize() {
 	for i := range r.pending {
-		if !r.pending[i].owned {
-			r.pending[i].data = append([]byte(nil), r.pending[i].data...)
-			r.pending[i].owned = true
+		rg := &r.pending[i]
+		if rg.own == nil {
+			rg.own = append(r.takeSpare(len(rg.data)), rg.data...)
+			rg.data = rg.own
 		}
 	}
+}
+
+// takeSpare returns an empty slice over a spare array that holds at least n
+// bytes, or nil when there is none.
+func (r *receiver) takeSpare(n int) []byte {
+	for i := len(r.spare) - 1; i >= 0; i-- {
+		if b := r.spare[i]; cap(b) >= n {
+			last := len(r.spare) - 1
+			r.spare[i] = r.spare[last]
+			r.spare[last] = nil
+			r.spare = r.spare[:last]
+			return b
+		}
+	}
+	return nil
 }
 
 // contiguousEnd returns the highest sequence number reachable from rcvNxt
@@ -211,8 +258,12 @@ func (r *receiver) depositUpTo(limit Seq) int {
 	if want <= 0 {
 		return 0
 	}
-	out := make([]byte, want)
-	filled := 0
+	// Grow the socket buffer by want bytes and fill them in place.
+	r.deposited, r.depArr = fifoRoom(r.deposited, r.depArr, want)
+	base := len(r.deposited)
+	r.deposited = r.deposited[:base+want]
+	out := r.deposited[base:]
+	clear(out) // a byte no range covers reads 0, never stale buffer contents
 	target := r.rcvNxt.Add(want)
 	for _, rg := range r.pending {
 		// Copy the overlap of rg with [rcvNxt, target).
@@ -225,16 +276,16 @@ func (r *receiver) depositUpTo(limit Seq) int {
 		dstOff := start.Diff(r.rcvNxt)
 		n := stop.Diff(start)
 		copy(out[dstOff:dstOff+n], rg.data[srcOff:srcOff+n])
-		filled += n
 	}
-	_ = filled
-	r.deposited = append(r.deposited, out...)
 	r.rcvNxt = target
 	// Drop pending ranges now wholly below rcvNxt; trim partial ones.
 	kept := r.pending[:0]
 	for _, rg := range r.pending {
 		e := rg.seq.Add(len(rg.data))
 		if e.LEQ(r.rcvNxt) {
+			if rg.own != nil {
+				r.spare = append(r.spare, rg.own[:0])
+			}
 			continue
 		}
 		if rg.seq.LT(r.rcvNxt) {

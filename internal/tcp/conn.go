@@ -69,7 +69,7 @@ type ConnHooks struct {
 	// Returning true diverts the segment: it is not transmitted, but the
 	// connection state advances as if it were. Backup replicas use this to
 	// strip segments to their flow-control fields for the acknowledgment
-	// channel.
+	// channel. The segment is valid only for the duration of the call.
 	SuppressTransmit func(seg *Segment) bool
 	// DepositLimit bounds rcvNxt: bytes at or above the limit stay pending
 	// and unacknowledged. Absent (ok=false) means unlimited. This realizes
@@ -417,7 +417,7 @@ func (c *Conn) open() {
 	c.sndNxt = c.iss
 	c.sndBuf.setBase(c.iss.Add(1))
 	c.state = StateSynSent
-	c.sendSegment(&Segment{
+	c.sendSegment(Segment{
 		Flags: FlagSYN, Seq: c.iss, MSS: uint16(c.stack.cfg.MSS),
 		Window: c.windowField(),
 	})
@@ -449,7 +449,7 @@ func (c *Conn) sendSynAck() {
 	if limit, ok := c.sendLimit(); ok && limit.LEQ(c.iss) {
 		return
 	}
-	c.sendSegment(&Segment{
+	c.sendSegment(Segment{
 		Flags: FlagSYN | FlagACK, Seq: c.iss, Ack: c.rcv.rcvNxt,
 		MSS: uint16(c.stack.cfg.MSS), Window: c.windowField(),
 	})
@@ -528,7 +528,7 @@ func (c *Conn) output() {
 			flags |= FlagFIN
 			fin = true
 		}
-		c.sendSegment(&Segment{
+		c.sendSegment(Segment{
 			Flags: flags, Seq: c.sndNxt, Ack: c.rcv.rcvNxt,
 			Window: c.windowField(), Payload: chunk,
 		})
@@ -558,7 +558,7 @@ func (c *Conn) output() {
 	// A FIN with no data left to carry it.
 	if c.finQueued && !c.finSent && c.sndNxt == dataEnd &&
 		c.sndNxt.LT(c.sndUna.Add(wnd+1)) && c.finAllowed(c.sndNxt) {
-		c.sendSegment(&Segment{
+		c.sendSegment(Segment{
 			Flags: FlagFIN | FlagACK, Seq: c.sndNxt, Ack: c.rcv.rcvNxt,
 			Window: c.windowField(),
 		})
@@ -616,7 +616,7 @@ func (c *Conn) onPersist() {
 	probe := c.sndBuf.bytesFrom(c.sndNxt, 1)
 	if len(probe) == 1 {
 		if gl, ok := c.sendLimit(); !ok || gl.GT(c.sndNxt) {
-			c.sendSegment(&Segment{
+			c.sendSegment(Segment{
 				Flags: FlagACK | FlagPSH, Seq: c.sndNxt, Ack: c.rcv.rcvNxt,
 				Window: c.windowField(), Payload: probe,
 			})
@@ -645,7 +645,7 @@ func (c *Conn) sendAck() {
 		return
 	}
 	c.delack.Stop()
-	c.sendSegment(&Segment{
+	c.sendSegment(Segment{
 		Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcv.rcvNxt, Window: c.windowField(),
 	})
 }
@@ -668,8 +668,12 @@ func (c *Conn) onDelayedAck() {
 }
 
 // sendSegment finalizes ports and hands the segment to the wire, honouring
-// the suppression hook.
-func (c *Conn) sendSegment(seg *Segment) {
+// the suppression hook. The segment is built in the stack's outgoing
+// storage, so the hook and the trace see it only for the duration of their
+// call.
+func (c *Conn) sendSegment(s Segment) {
+	seg := &c.stack.out
+	*seg = s
 	seg.SrcPort = c.local.Port
 	seg.DstPort = c.remote.Port
 	if c.hooks.SuppressTransmit != nil && c.hooks.SuppressTransmit(seg) {
@@ -681,7 +685,7 @@ func (c *Conn) sendSegment(seg *Segment) {
 }
 
 func (c *Conn) sendRST(seq Seq) {
-	c.sendSegment(&Segment{Flags: FlagRST | FlagACK, Seq: seq, Ack: c.rcv.rcvNxt})
+	c.sendSegment(Segment{Flags: FlagRST | FlagACK, Seq: seq, Ack: c.rcv.rcvNxt})
 }
 
 // --- Retransmission -------------------------------------------------------
@@ -736,7 +740,7 @@ func (c *Conn) onRetransmitTimeout() {
 func (c *Conn) retransmitOne() {
 	switch c.state {
 	case StateSynSent:
-		c.sendSegment(&Segment{
+		c.sendSegment(Segment{
 			Flags: FlagSYN, Seq: c.iss, MSS: uint16(c.stack.cfg.MSS), Window: c.windowField(),
 		})
 		return
@@ -751,7 +755,7 @@ func (c *Conn) retransmitOne() {
 			flags |= FlagFIN
 		}
 		c.noteRetransmit(c.sndUna)
-		c.sendSegment(&Segment{
+		c.sendSegment(Segment{
 			Flags: flags, Seq: c.sndUna, Ack: c.rcv.rcvNxt,
 			Window: c.windowField(), Payload: chunk,
 		})
@@ -759,7 +763,7 @@ func (c *Conn) retransmitOne() {
 	}
 	if c.finSent && c.sndUna.Add(1) == c.sndNxt {
 		c.noteRetransmit(c.sndUna)
-		c.sendSegment(&Segment{
+		c.sendSegment(Segment{
 			Flags: FlagFIN | FlagACK, Seq: c.sndUna, Ack: c.rcv.rcvNxt, Window: c.windowField(),
 		})
 	}

@@ -83,7 +83,7 @@ func (s *Segment) String() string {
 		s.SrcPort, s.DstPort, s.Flags, uint32(s.Seq), uint32(s.Ack), s.Window, len(s.Payload))
 }
 
-// Errors returned by UnmarshalSegment.
+// Errors returned by Parse and UnmarshalSegment.
 var (
 	ErrSegTruncated   = errors.New("tcp: truncated segment")
 	ErrSegBadChecksum = errors.New("tcp: checksum mismatch")
@@ -141,19 +141,32 @@ func (s *Segment) MarshalInto(b []byte, src, dst ipv4.Addr) {
 	b[17] = byte(sum)
 }
 
-// UnmarshalSegment parses and validates a wire-format segment.
+// UnmarshalSegment parses and validates a wire-format segment into a new
+// Segment. The receive path parses into stack-owned storage with Parse
+// instead.
 func UnmarshalSegment(src, dst ipv4.Addr, b []byte) (*Segment, error) {
+	s := new(Segment)
+	if err := s.Parse(src, dst, b); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Parse parses and validates a wire-format segment into s, verifying the
+// checksum over the pseudo-header given by src and dst and overwriting every
+// field. s's payload aliases b. On error s is left unchanged.
+func (s *Segment) Parse(src, dst ipv4.Addr, b []byte) error {
 	if len(b) < HeaderLen {
-		return nil, ErrSegTruncated
+		return ErrSegTruncated
 	}
 	hdrLen := int(b[12]>>4) * 4
 	if hdrLen < HeaderLen || len(b) < hdrLen {
-		return nil, ErrSegTruncated
+		return ErrSegTruncated
 	}
 	if ipv4.PseudoChecksum(src, dst, ipv4.ProtoTCP, b) != 0 {
-		return nil, ErrSegBadChecksum
+		return ErrSegBadChecksum
 	}
-	s := &Segment{
+	*s = Segment{
 		SrcPort: uint16(b[0])<<8 | uint16(b[1]),
 		DstPort: uint16(b[2])<<8 | uint16(b[3]),
 		Seq:     getSeq(b[4:8]),
@@ -183,7 +196,7 @@ func UnmarshalSegment(src, dst ipv4.Addr, b []byte) (*Segment, error) {
 			}
 		}
 	}
-	return s, nil
+	return nil
 }
 
 func putSeq(b []byte, s Seq) {

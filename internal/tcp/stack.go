@@ -114,6 +114,9 @@ type connKey struct {
 }
 
 // TraceFunc observes segments at the stack boundary: dir is "in" or "out".
+// The segment is valid only for the duration of the call: the stack parses
+// and builds every segment in the same storage, and its Payload aliases a
+// pooled frame or the send buffer. A trace that keeps any of it must copy.
 type TraceFunc func(dir string, local, remote Endpoint, seg *Segment)
 
 // Stack is the per-node TCP layer.
@@ -128,6 +131,11 @@ type Stack struct {
 	stats     StackStats
 	trace     TraceFunc
 	bus       *obs.Bus
+
+	// in holds the segment DeliverIP is processing, and out the one being
+	// transmitted. Both are reused for every segment, so neither outlives
+	// its call.
+	in, out Segment
 
 	// rttHist accumulates smoothed-round-trip samples (milliseconds) from
 	// every connection's Karn-guarded RTT measurements.
@@ -281,8 +289,8 @@ func (s *Stack) allocEphemeral() uint16 {
 
 // DeliverIP implements ipv4.ProtocolHandler.
 func (s *Stack) DeliverIP(p *ipv4.Packet) {
-	seg, err := UnmarshalSegment(p.Src, p.Dst, p.Payload)
-	if err != nil {
+	seg := &s.in
+	if err := seg.Parse(p.Src, p.Dst, p.Payload); err != nil {
 		s.stats.BadSegments++
 		return
 	}
@@ -321,7 +329,8 @@ func (s *Stack) DeliverIP(p *ipv4.Packet) {
 // generation).
 func (s *Stack) sendRSTFor(local, remote Endpoint, seg *Segment) {
 	s.stats.RSTsSent++
-	rst := &Segment{SrcPort: local.Port, DstPort: remote.Port, Flags: FlagRST}
+	rst := &s.out
+	*rst = Segment{SrcPort: local.Port, DstPort: remote.Port, Flags: FlagRST}
 	if seg.Flags.Has(FlagACK) {
 		rst.Seq = seg.Ack
 	} else {
